@@ -28,23 +28,21 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .polyalg import (
-    DegenerateSplitError,
     InvalidInputError,
     Polynomial,
     RationalFunction,
     compose_even,
     even_odd_split,
     laurent_expand,
-    pole_count,
     poly_gcd,
     reflect,
     times_z,
 )
 from .minors import (
-    HurwitzMinors,
     InvalidSequenceError,
     hankel_minors,
     hurwitz_minors,
+    leading_principal_minors,
     scf_frobenius,
     strong_sign_changes,
 )
@@ -158,23 +156,15 @@ def pole_sign_count(R: RationalFunction,
 # ---------------------------------------------------------------------------
 # building blocks for classify
 
-def _delta_stable(p: Polynomial) -> bool:
-    """Hurwitz stability by full minor positivity (sign-normalized)."""
-    if p.coeffs[0] < 0:
-        p = -p
-    n = p.degree
-    if n == 0:
-        return True
-    return all(d > 0 for d in hurwitz_minors(p).delta)
-
-
 def _real_nonpositive_u_roots(f: Polynomial) -> bool:
     """Do all roots of f (a polynomial in u) lie in (-inf, 0]?
 
-    Via the logarithmic derivative: f'/f is a sum of m_i/(u - lambda_i),
-    so all roots are real iff its first Hankel family is positive through
-    the rank, and all negative iff the second family alternates.  Roots
-    at the origin are stripped first; they are fine.
+    Roots at the origin are stripped first; they are fine.  Via the
+    logarithmic derivative: f'/f is a sum of m_i/(u - lambda_i) over the
+    r distinct roots, so all roots are real iff the first Hankel family
+    of its series is positive through r.  A real-rooted f has exactly as
+    many positive roots as its coefficients have sign changes (Descartes'
+    rule is exact there), so then no sign change means no positive root.
     """
     if f.degree == 0:
         return True
@@ -183,22 +173,26 @@ def _real_nonpositive_u_roots(f: Polynomial) -> bool:
         f = f // u
     if f.degree == 0:
         return True
-    G = RationalFunction(f.derivative(), f)
-    r = pole_count(G)
-    mn = hankel_minors(laurent_expand(G.reduced(), r), r)
-    if any(d <= 0 for d in mn.D):
+    G = RationalFunction(f.derivative(), f).reduced()
+    r = G.den.degree
+    s = laurent_expand(G, r).s
+    hankel = [[s[i + k] for k in range(r)] for i in range(r)]
+    if any(d <= 0 for d in leading_principal_minors(hankel)):
         return False
-    return all((dh if j % 2 == 0 else -dh) > 0
-               for j, dh in enumerate(mn.Dhat, start=1))
+    return strong_sign_changes(f.coeffs) == 0
 
 
-def _quasi_stable_check(p: Polynomial):
+def _quasi_stable_check(p: Polynomial, delta: Tuple[Fraction, ...]):
     """Exact quasi-stability with degeneracy count.
 
     Splits off the largest even divisor f(z^2) with f = gcd(p0, p1); the
     remaining cofactor is coprime in its halves, so it carries at most a
     simple origin zero.  p is quasi-stable iff f has only real nonpositive
     u-roots and the (origin-stripped) cofactor is Hurwitz stable.
+
+    `delta` is p's Hurwitz minor chain.  When f is trivial the cofactor is
+    p or p/z, whose chain is a prefix of it: the Hurwitz matrix of p/z is
+    the leading block of p's.  Only a nontrivial f costs a minor sweep.
 
     Returns (ok, m, certificate).
     """
@@ -207,8 +201,7 @@ def _quasi_stable_check(p: Polynomial):
         f = (split.p1 if split.p0.is_zero() else split.p0).monic()
     else:
         f = poly_gcd(split.p0, split.p1)
-    q, rem = divmod(p, compose_even(f))
-    assert rem.is_zero()
+    q = p // compose_even(f)
     m = 2 * f.degree
     cert = {"even_factor_u": f, "cofactor": q}
     origin = q.power_coeff(0) == 0
@@ -219,22 +212,31 @@ def _quasi_stable_check(p: Polynomial):
         if q.power_coeff(0) == 0:
             cert["reason"] = "multiple origin zero outside the even factor"
             return False, None, cert
-    if q.degree >= 1 and not _delta_stable(q):
-        cert["reason"] = "cofactor is not stable"
-        return False, None, cert
+    if q.degree >= 1:
+        chain = delta[:q.degree] if f.degree == 0 else hurwitz_minors(q).delta
+        if not all(d > 0 for d in chain):
+            cert["reason"] = "cofactor is not stable"
+            return False, None, cert
     if f.degree >= 1 and not _real_nonpositive_u_roots(f):
         cert["reason"] = "even factor has roots off the nonpositive ray"
         return False, None, cert
     return True, m, cert
 
 
+def _dual_sign(j: int, n: int) -> int:
+    """sigma_j of the dual map on a degree-n polynomial: (-1)^{j(j-1)/2}
+    for even n, (-1)^{j(j+1)/2} for odd n; defined for every integer j."""
+    e = (j * (j - 1) // 2) if n % 2 == 0 else (j * (j + 1) // 2)
+    return -1 if e % 2 else 1
+
+
 def dual_transform(p: Polynomial) -> Polynomial:
     """The sign-twisted even/odd recombination q with q(0-axis) duality.
 
-    q = s * (p0(-z^2) - z p1(-z^2)) with s = (-1)^{n(n+1)/2}, which acts
-    on coefficients as b_j = sigma_j a_j for sigma_j = (-1)^{j(j-1)/2}
-    (n even) or (-1)^{j(j+1)/2} (n odd); the map is an involution.  It
-    exchanges self-interlacing of type I with Hurwitz stability.
+    Coefficientwise b_j = sigma_j a_j (see `_dual_sign`), which is the
+    recombination q = s * (p0(-z^2) - z p1(-z^2)) with s = (-1)^{n(n+1)/2};
+    the map is an involution.  It exchanges self-interlacing of type I
+    with Hurwitz stability.
 
     >>> dual_transform(Polynomial([1, 1, -2])).coeffs
     (Fraction(1, 1), Fraction(1, 1), Fraction(2, 1))
@@ -242,28 +244,51 @@ def dual_transform(p: Polynomial) -> Polynomial:
     if p.is_zero():
         raise InvalidInputError("dual transform of the zero polynomial")
     n = p.degree
-    split = even_odd_split(p)
-    raw = compose_even(split.p0, -1) - times_z(compose_even(split.p1, -1))
-    sign = -1 if (n * (n + 1) // 2) % 2 else 1
-    q = raw * sign
-    # coefficient form of the same map, asserted against the composition
-    for j in range(n + 1):
-        e = (j * (j - 1) // 2) if n % 2 == 0 else (j * (j + 1) // 2)
-        sigma = -1 if e % 2 else 1
-        assert q.power_coeff(n - j) == sigma * p.coeff(j)
-    return q
+    return Polynomial([_dual_sign(j, n) * c for j, c in enumerate(p.coeffs)])
+
+
+def _reflected_delta(delta: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    """Hurwitz minors of the sign-normalized reflection from those of p.
+
+    For p with positive leading coefficient, reflect(p) = p(-z) negates
+    a_j for odd n-j; Hurwitz entry (t, c) holds j = 2c+1-t, so row t is
+    scaled by (-1)^{n-1+t}.  Normalizing the leading sign (odd n) scales
+    every row by -1 once more, leaving (-1)^{t+1} for any n, and
+    Delta_k by (-1)^{k(k+1)/2}.
+    """
+    return tuple([-d if (k * (k + 1) // 2) % 2 else d
+                  for k, d in enumerate(delta, start=1)])
+
+
+def _dual_delta(delta: Tuple[Fraction, ...], n: int) -> Tuple[Fraction, ...]:
+    """Hurwitz minors of dual_transform(p) from those of p.
+
+    Entry (t, c) holds j = 2c+1-t and sigma_{2c+1-t} = (-1)^c sigma_{1-t},
+    so row t and column t are scaled by sigma_{1-t} and (-1)^t.
+    """
+    out, s = [], 1
+    for t, d in enumerate(delta):
+        s *= (-1) ** t * _dual_sign(1 - t, n)
+        out.append(s * d)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # the classifier
 
-def classify(p: Union[Polynomial, Sequence], *, _reflect_depth: int = 0
+def classify(p: Union[Polynomial, Sequence], *,
+             _reflected_chain: Optional[Tuple[Fraction, ...]] = None
              ) -> ClassificationReport:
     """Classify a real polynomial by zero location, exactly.
 
     The zero polynomial is refused; constants are unclassified.  The
     leading coefficient is normalized positive first (recorded in the
     certificates), which never moves a zero.
+
+    One Hurwitz minor sweep serves the whole tree: the dual and the
+    reflected images get their minors from p's by fixed sign tables.  The
+    reflected call receives the chain of its sign-normalized input
+    through the private keyword, which also stops it reflecting again.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
@@ -290,10 +315,11 @@ def classify(p: Union[Polynomial, Sequence], *, _reflect_depth: int = 0
         return ClassificationReport(LABEL_SI, order_k=1, si_type="I",
                                     certificates=cert)
 
-    hm = hurwitz_minors(p)
-    cert["delta"] = list(hm.delta)
+    reflected = _reflected_chain is not None
+    delta = _reflected_chain if reflected else hurwitz_minors(p).delta
+    cert["delta"] = list(delta)
     gate_idx = list(range(n - 1, 0, -2))
-    gate = all(hm.delta[i - 1] > 0 for i in gate_idx)
+    gate = all(delta[i - 1] > 0 for i in gate_idx)
     cert["gate_indices"] = gate_idx
     cert["gate_passed"] = gate
     kmax = (n + 1) // 2
@@ -301,9 +327,9 @@ def classify(p: Union[Polynomial, Sequence], *, _reflect_depth: int = 0
     if gate:
         const_zero = (p.power_coeff(0) == 0)
         if const_zero:
-            seq = [hm.delta[i - 1] for i in range(n - 2, 0, -2)] + [Fraction(1)]
+            seq = [delta[i - 1] for i in range(n - 2, 0, -2)] + [Fraction(1)]
         else:
-            seq = [hm.delta[i - 1] for i in range(n, 0, -2)] + [Fraction(1)]
+            seq = [delta[i - 1] for i in range(n, 0, -2)] + [Fraction(1)]
         k = None
         try:
             k = scf_frobenius(seq) + (1 if const_zero else 0)
@@ -316,7 +342,6 @@ def classify(p: Union[Polynomial, Sequence], *, _reflect_depth: int = 0
             cert["order"] = k
             cert["constant_term_zero"] = const_zero
             if k == 0:
-                assert all(d > 0 for d in hm.delta)
                 return ClassificationReport(LABEL_STABLE, order_k=0,
                                             certificates=cert)
             if const_zero and k == 1:
@@ -333,13 +358,13 @@ def classify(p: Union[Polynomial, Sequence], *, _reflect_depth: int = 0
             return ClassificationReport(LABEL_GH, order_k=k, si_type="I",
                                         certificates=cert)
 
-    ok, m, qcert = _quasi_stable_check(p)
+    ok, m, qcert = _quasi_stable_check(p, delta)
     if ok:
         cert["quasi_certificate"] = qcert
         return ClassificationReport(LABEL_QUASI, degeneracy_m=m,
                                     certificates=cert)
     dual = dual_transform(p)
-    ok, m, qcert = _quasi_stable_check(dual)
+    ok, m, qcert = _quasi_stable_check(dual, _dual_delta(delta, n))
     if ok and m >= 2:
         # m = 1 cannot reach this branch (that shape passes the gate);
         # the bound keeps the label disjoint from almost-self-interlacing
@@ -348,8 +373,9 @@ def classify(p: Union[Polynomial, Sequence], *, _reflect_depth: int = 0
         return ClassificationReport(LABEL_QUASI_SI, degeneracy_m=m,
                                     si_type="I", certificates=cert)
 
-    if _reflect_depth == 0:
-        inner = classify(reflect(p), _reflect_depth=1)
+    if not reflected:
+        inner = classify(reflect(p),
+                         _reflected_chain=_reflected_delta(delta))
         cert["reflected_label"] = inner.label
         if inner.si_type == "I":
             return ClassificationReport(inner.label, order_k=inner.order_k,
@@ -399,13 +425,12 @@ def lienard_chipart(p: Polynomial, variant: int = 1) -> bool:
 def generalized_lienard_chipart_order(p: Polynomial) -> Optional[int]:
     """Order k from coefficient sign changes, when the minor gate holds.
 
-    Both coefficient chains are counted and asserted equal:
+        a_n != 0:  k = v(a_n, a_{n-2}, ..., 1)
+        a_n  = 0:  k = v(a_{n-2}, ..., 1) + 1
 
-        a_n != 0:  k = v(a_n, a_{n-2}, ..., 1) = v(a_n, a_{n-1}, a_{n-3}, ..., 1)
-        a_n  = 0:  k = v(a_{n-2}, ..., 1) + 1 = v(a_{n-1}, a_{n-3}, ..., 1) + 1
-
-    where v counts strong sign changes (zeros skipped).  Returns None if
-    the gate fails (the count is meaningless there).
+    where v counts strong sign changes (zeros skipped).  The odd chain
+    a_n, a_{n-1}, a_{n-3}, ... gives the same count (the tests check it).
+    Returns None if the gate fails (the count is meaningless there).
     """
     if p.is_zero():
         raise InvalidInputError("order of the zero polynomial")
@@ -420,22 +445,11 @@ def generalized_lienard_chipart_order(p: Polynomial) -> Optional[int]:
     hm = hurwitz_minors(p)
     if not all(hm.delta[i - 1] > 0 for i in range(n - 1, 0, -2)):
         return None
-
-    def a(i: int) -> Fraction:
-        return p.coeff(i)
-
     one = [Fraction(1)]
-    if a(n) != 0:
-        v1 = strong_sign_changes([a(i) for i in range(n, -1, -2)] + one)
-        v2 = strong_sign_changes([a(n)] + [a(i) for i in range(n - 1, -1, -2)]
-                                 + one)
-        extra = 0
-    else:
-        v1 = strong_sign_changes([a(i) for i in range(n - 2, -1, -2)] + one)
-        v2 = strong_sign_changes([a(i) for i in range(n - 1, -1, -2)] + one)
-        extra = 1
-    assert v1 == v2, "the two coefficient chains disagree"
-    return v1 + extra
+    if p.coeff(n) != 0:
+        return strong_sign_changes([p.coeff(i) for i in range(n, -1, -2)] + one)
+    return strong_sign_changes([p.coeff(i) for i in range(n - 2, -1, -2)]
+                               + one) + 1
 
 
 def new_stability_criterion(p: Polynomial) -> bool:

@@ -196,14 +196,15 @@ def _parse_spec(text: str, seed: int):
         build = sm.anti_bidiagonal if kind == "antibidiag" \
             else sm.tridiagonal_equivalent
         return build(a1, b, c)
-    if kind == "flip":
+    if kind in ("flip", "randomtn"):
         if "n" not in params:
-            raise _BadToken("matrix spec 'flip' needs n=")
-        return sm.flip(int(params["n"]))
-    if kind == "randomtn":
-        if "n" not in params:
-            raise _BadToken("matrix spec 'randomtn' needs n=")
-        return sm.random_tn_matrix(int(params["n"]), seed)
+            raise _BadToken(f"matrix spec {kind!r} needs n=")
+        try:
+            n = int(params["n"])
+        except ValueError:
+            raise _BadToken(
+                f"matrix spec field n={params['n']!r} is not an integer") from None
+        return sm.flip(n) if kind == "flip" else sm.random_tn_matrix(n, seed)
     raise _BadToken(f"unknown matrix spec kind {kind!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -172,7 +173,9 @@ def hankel_minors(series: LaurentSeries, order: int) -> HankelMinors:
     """Both Hankel minor families through index `order`.
 
     D_order consumes s_0..s_{2*order-2} and Dhat_order consumes
-    s_1..s_{2*order-1}, so the series must carry 2*order terms.
+    s_1..s_{2*order-1}, so the series must carry 2*order terms.  Each
+    family is the leading principal chain of one Hankel matrix, taken in
+    a single sweep.
     """
     if order < 0:
         raise InvalidInputError("negative Hankel order")
@@ -181,10 +184,10 @@ def hankel_minors(series: LaurentSeries, order: int) -> HankelMinors:
             f"need {2 * order} series terms for order {order}, "
             f"have {len(series.s)}")
     s = series.s
-    D = [exact_det([[s[i + k] for k in range(j)] for i in range(j)])
-         for j in range(1, order + 1)]
-    Dhat = [exact_det([[s[i + k + 1] for k in range(j)] for i in range(j)])
-            for j in range(1, order + 1)]
+    D = leading_principal_minors(
+        [[s[i + k] for k in range(order)] for i in range(order)])
+    Dhat = leading_principal_minors(
+        [[s[i + k + 1] for k in range(order)] for i in range(order)])
     return HankelMinors(tuple(D), tuple(Dhat), order)
 
 
@@ -238,21 +241,19 @@ class HurwitzMinors:
 
 
 def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
-    """Leading principal minors of both Hurwitz layouts.
+    """Leading principal minors of both Hurwitz layouts, from one sweep.
 
-    eta_j = a_0 * Delta_{j-1} ties the two chains together and is asserted
-    on every call as an internal cross-check.
+    Delta comes from the finite matrix.  The (n+1)-square block of the
+    infinite layout is the finite matrix bordered by a first column
+    (a_0, 0, ..., 0), so eta_j = a_0 * Delta_{j-1} with Delta_0 = 1, and
+    eta is built from that formula.
     """
     if p.is_zero():
         raise InvalidInputError("Hurwitz minors of the zero polynomial")
     n = p.degree
     delta = tuple(leading_principal_minors(finite_hurwitz_matrix(p))) if n else ()
-    eta = tuple(leading_principal_minors(infinite_hurwitz_block(p, n + 1)))
     a0 = p.coeffs[0]
-    assert eta[0] == a0
-    for j in range(1, n + 1):
-        assert eta[j] == a0 * delta[j - 1], "minor chain bridge violated"
-    return HurwitzMinors(delta, eta, n)
+    return HurwitzMinors(delta, tuple([a0] + [a0 * d for d in delta]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +373,6 @@ class TNNScan:
     checked_order: int
 
 
-def _combinations(pool: int, k: int):
-    # itertools.combinations, but local so the scan can short-circuit
-    from itertools import combinations
-    return combinations(range(pool), k)
-
-
 def total_nonnegativity_scan(rows: Sequence[Sequence[Fraction]],
                              max_order: Optional[int] = None) -> TNNScan:
     """Check every minor up to max_order for nonnegativity.
@@ -399,8 +394,8 @@ def total_nonnegativity_scan(rows: Sequence[Sequence[Fraction]],
         top = min(top, max_order)
     mat = [[_rat(x) for x in row] for row in rows]
     for k in range(1, top + 1):
-        for ridx in _combinations(m, k):
-            for cidx in _combinations(ncols, k):
+        for ridx in combinations(range(m), k):
+            for cidx in combinations(range(ncols), k):
                 det = exact_det([[mat[i][j] for j in cidx] for i in ridx])
                 if det < 0:
                     return TNNScan(False, ridx, cidx, k)

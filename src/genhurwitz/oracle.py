@@ -43,6 +43,7 @@ from .classify import (
     LABEL_SI,
     LABEL_STABLE,
     ClassificationReport,
+    _dual_sign,
     classify,
     dual_transform,
 )
@@ -290,11 +291,6 @@ def _coeff_vector(snapped) -> List[float]:
     return [c.real for c in cs]
 
 
-def _dual_sign(j: int, n: int) -> int:
-    e = (j * (j - 1) // 2) if n % 2 == 0 else (j * (j + 1) // 2)
-    return -1 if e % 2 else 1
-
-
 def _quasi_si_profile(snapped, tol: float, band: float) -> Optional[int]:
     """Degeneracy m if the sign-twisted recombination is quasi-stable.
 
@@ -490,8 +486,7 @@ def _gen_gh(n: int, k: int, rng: random.Random) -> Polynomial:
     cursor = mus[-1] + Fraction(1, 4)
     if n % 2 == 0:
         roots.append(-cursor)
-    rest = n - len(roots)
-    assert rest % 2 == 0
+    rest = n - len(roots)       # n - 2k + 1 or n - 2k: even either way
     quads = []
     for _ in range(rest // 2):
         if rng.random() < 0.5:

@@ -261,9 +261,10 @@ def recompose_split(split: EvenOddSplit) -> Polynomial:
 
 
 def reflect(p: Polynomial) -> Polynomial:
-    """z -> -z up to global sign: negate a_j exactly when n-j is odd.
+    """p(-z): negate a_j exactly when n-j is odd.
 
-    Sends each root to its negative and keeps the leading coefficient.
+    Sends each root to its negative; for odd n the leading coefficient
+    changes sign.
 
     >>> reflect(Polynomial([1, 1, -2])).coeffs
     (Fraction(1, 1), Fraction(-1, 1), Fraction(-2, 1))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .polyalg import InvalidInputError, Polynomial
+from .polyalg import InvalidInputError, Polynomial, _rat
 from .minors import exact_det, leading_principal_minors, total_nonnegativity_scan
 
 __all__ = [
@@ -37,12 +37,6 @@ SCAN_CAP = 8
 
 class MatrixShapeError(InvalidInputError):
     pass
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, float):
-        raise InvalidInputError("matrix entries must be exact rationals")
-    return Fraction(x)
 
 
 class ExactMatrix:
@@ -282,23 +276,12 @@ def anti_tridiagonal_criterion(A_J: ExactMatrix) -> bool:
     """Do the upper-right corner minors alternate in sign the right way?
 
     Requirement: (-1)^(k(k-1)/2) times the minor on rows 1..k, columns
-    n+1-k..n is positive for every k.  Flipping the matrix turns this
-    into plain leading-minor positivity of a tridiagonal matrix, so
-    both versions are computed and must agree; the shared verdict is
-    returned.
+    n+1-k..n is positive for every k.  Flipping the matrix upside down
+    turns this into plain leading-minor positivity of a tridiagonal
+    matrix, which one sweep decides.
     """
     n = _anti_tridiagonal_data(A_J)
-    corner = True
-    for k in range(1, n + 1):
-        val = A_J.minor(range(k), range(n - k, n))
-        if ((k * (k - 1) // 2) % 2 == 0 and val <= 0) or \
-                ((k * (k - 1) // 2) % 2 == 1 and val >= 0):
-            corner = False
-            break
-    M = flip(n) * A_J
-    jacobi = all(v > 0 for v in leading_principal_minors(M.rows))
-    assert corner == jacobi, "corner and flipped leading minors disagree"
-    return corner
+    return all(v > 0 for v in leading_principal_minors((flip(n) * A_J).rows))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Hankel minors are nonzero, as
 terminating in c_{2r} (even tail) or in c_{2r-1} u (odd tail; exactly the
 case of a pole at the origin).  The partial coefficients come from the
 two Hankel minor families, and for the split quotient of a polynomial
-they come equally from the Hurwitz minors; both routes are implemented
-and checked against each other.
+they come equally from the Hurwitz minors.  Each function runs one
+route; the tests check that the two routes agree.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .polyalg import (
-    DegenerateSplitError,
     InvalidInputError,
     Polynomial,
     RationalFunction,
-    associated_function,
     laurent_expand,
     pole_count,
 )
@@ -91,9 +89,8 @@ def stieltjes_expand(R: RationalFunction) -> StieltjesCF:
     for j in range(1, r):
         if mn.Dhat[j - 1] == 0:
             raise NoCFError(f"no expansion: Dhat_{j} = 0")
+    # a pole at the origin is exactly a vanishing Dhat_r
     zero_pole = (red.den.power_coeff(0) == 0)
-    # pole at the origin if and only if the top second-family minor dies
-    assert (mn.Dhat[r - 1] == 0) == zero_pole
     c = []
     for j in range(1, r + 1):
         c.append(mn.dhat(j - 1) ** 2 / (mn.d(j - 1) * mn.d(j)))   # c_{2j-1}
@@ -118,8 +115,8 @@ def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
     Odd degree n = 2l+1: c_0 = a_0/a_1,  c_i = Delta_i^2 / (Delta_{i-1} Delta_{i+1})
 
     with Delta_0 = 1 and Delta_{-1} = 1/a_0.  A zero constant term drops
-    the last partial coefficient and flips the tail to odd.  The result is
-    asserted equal to the series route on every call.
+    the last partial coefficient and flips the tail to odd.  A vanishing
+    even half makes Delta_1 = a_1 = 0 (odd n), so it is refused here too.
     """
     if p.is_zero():
         raise InvalidInputError("expansion of the zero polynomial")
@@ -157,13 +154,7 @@ def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
             raise NoCFError(f"no expansion: Delta_{i + shift + 1} = 0"
                             if hi == 0 else f"no expansion: Delta_{i + shift - 1} = 0")
         c.append(mid ** 2 / (lo * hi))
-    out = StieltjesCF(c0, tuple(c), "odd" if zero_tail else "even", l)
-    try:
-        direct = stieltjes_expand(associated_function(p))
-    except DegenerateSplitError:
-        raise NoCFError("even half vanishes; no split quotient to expand")
-    assert out == direct, "minor route and series route disagree"
-    return out
+    return StieltjesCF(c0, tuple(c), "odd" if zero_tail else "even", l)
 
 
 def cf_reconstruct(cf: Union[StieltjesCF, ExtendedCF]) -> RationalFunction:

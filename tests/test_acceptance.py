@@ -37,6 +37,7 @@ from genhurwitz.minors import (
     exact_det,
     finite_hurwitz_matrix,
     leading_principal_minors,
+    strong_sign_changes,
     total_nonnegativity_scan,
 )
 from genhurwitz.oracle import (
@@ -318,14 +319,26 @@ def test_criterion_5_determinant_identities():
     assert full_checks >= 400
 
 
+def _odd_chain_order(p):
+    """The order from the second coefficient chain a_n, a_{n-1}, a_{n-3},
+    ... (a_{n-1}, a_{n-3}, ... plus one when a_n = 0)."""
+    n = p.degree
+    odd = [p.coeff(i) for i in range(n - 1, -1, -2)] + [Fraction(1)]
+    if p.coeff(n) != 0:
+        return strong_sign_changes([p.coeff(n)] + odd)
+    return strong_sign_changes(odd) + 1
+
+
 def test_criterion_6_order_formulas_agree(gh_corpus):
-    """The sign-change order, the strong-sign-change shortcut order, and
-    the closed right-half-plane root count coincide on every instance."""
+    """The sign-change order, the strong-sign-change shortcut order from
+    either coefficient chain, and the closed right-half-plane root count
+    coincide on every instance."""
     for spec, p, rep in gh_corpus[0]:
         assert rep.label == LABEL_GH
         k = rep.order_k
         assert k == spec.order_k
         assert generalized_lienard_chipart_order(p) == k
+        assert _odd_chain_order(p) == k
         roots = numeric_roots(p)
         assert sum(1 for z in roots if z.real > -SNAP_TOL) == k
         oracle_rep = classify_by_roots(roots)

@@ -1,5 +1,6 @@
 """Zero-location taxonomy, duality, and the criterion variants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,15 @@ from genhurwitz.polyalg import (
     InvalidInputError,
     Polynomial,
     RationalFunction,
+    compose_even,
+    laurent_expand,
     reflect,
 )
+from genhurwitz.minors import hankel_minors
+from genhurwitz.oracle import StructureSpec, generate_instance
 from genhurwitz.classify import (
     LABELS,
+    _real_nonpositive_u_roots,
     classify,
     derivative_family,
     dual_transform,
@@ -326,3 +332,81 @@ class TestReflectionBridge:
         after = classify(reflect(P(*cs)))
         assert before.label == after.label
         assert {before.si_type, after.si_type} == {"I", "II"}
+
+
+def _mixed_corpus():
+    """Generated quasi and quasi-SI instances plus random small-integer
+    polynomials, many with vanishing minors or an origin zero."""
+    rng = random.Random(909)
+    polys = []
+    for i in range(120):
+        for label, m, si_type in (("quasi-stable", 2 + i % 2, "I"),
+                                  ("quasi-self-interlacing", 2, "I"),
+                                  ("quasi-self-interlacing", 2, "II")):
+            spec = StructureSpec(label=label, degree=3 + i % 6,
+                                 si_type=si_type, degeneracy_m=m)
+            polys.append(generate_instance(spec, seed=i))
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        polys.append(Polynomial([rng.choice([-2, -1, 1, 2])]
+                                + [rng.randint(-2, 2) for _ in range(n)]))
+    return polys
+
+
+class TestReportCertificates:
+    def test_certificates_recompose_and_stable_chains_are_positive(self):
+        seen = set()
+        for p in _mixed_corpus():
+            rep = classify(p)
+            cert = rep.certificates
+            normalized = -p if p.coeffs[0] < 0 else p
+            for key, image in (("quasi_certificate", normalized),
+                               ("dual_quasi_certificate",
+                                cert.get("dual_image"))):
+                if key in cert:
+                    q = cert[key]
+                    assert compose_even(q["even_factor_u"]) * q["cofactor"] \
+                        == image
+                    seen.add(key)
+            if rep.label == "hurwitz-stable" and "delta" in cert:
+                assert all(d > 0 for d in cert["delta"])
+                seen.add("stable")
+        assert seen == {"quasi_certificate", "dual_quasi_certificate",
+                        "stable"}
+
+
+def _two_family_verdict(f):
+    """The Hankel route without Descartes: D_j > 0 and (-1)^j Dhat_j > 0
+    for the power-sum series of the origin-stripped f."""
+    while f.power_coeff(0) == 0:
+        f = f // P(1, 0)
+    if f.degree == 0:
+        return True
+    G = RationalFunction(f.derivative(), f).reduced()
+    r = G.den.degree
+    mn = hankel_minors(laurent_expand(G, r), r)
+    return all(d > 0 for d in mn.D) and all(
+        (dh if j % 2 == 0 else -dh) > 0 for j, dh in enumerate(mn.Dhat, 1))
+
+
+class TestEvenFactorRoots:
+    def test_matches_construction_and_two_family_route(self):
+        # products of (u + a), origin and repeated roots included, and
+        # of quadratics with a complex pair
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(400):
+            f, truth = P(rng.choice([1, 2])), True
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.2:
+                    b = rng.randint(-2, 2)
+                    f = f * P(1, b, b * b + rng.randint(1, 3))
+                    truth = False
+                else:
+                    a = rng.randint(-2, 3)
+                    f = f * P(1, a)
+                    truth = truth and a >= 0
+            assert _real_nonpositive_u_roots(f) == truth, f
+            assert _two_family_verdict(f) == truth, f
+            verdicts.add(truth)
+        assert verdicts == {True, False}

@@ -190,6 +190,12 @@ class TestMatrixCommand:
         code, _, err = run(["matrix", "build", "squircle:n=3"])
         assert code == 2 and "squircle" in err
 
+    @pytest.mark.parametrize("spec", ["flip:n=x", "randomtn:n=x"])
+    def test_non_integer_size(self, spec):
+        code, out, err = run(["matrix", "build", spec])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'x'" in err
+
     def test_ragged_rows(self):
         assert run(["matrix", "check", "1,2;1"])[0] == 2
 

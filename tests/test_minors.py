@@ -1,5 +1,6 @@
 """Determinant machinery: Hankel, Hurwitz, interleaved pair minors, scans."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,33 @@ class TestHankelMinors:
         with pytest.raises(InvalidInputError):
             hankel_minors(LaurentSeries(F(0), F(0), ()), -1)
 
+    def test_sweeps_match_per_order_determinants(self):
+        # every D_j and Dhat_j as its own exact_det, on series whose
+        # sweeps run clean, stall at a vanishing minor mid-chain, or lose
+        # rank (a rational function expanded past its pole count)
+        rng = random.Random(5)
+        cases = [series_of([1], [1, -2], 3),          # rank one
+                 series_of([1, 0], [1, 0, -1], 4),    # rank two, order four
+                 LaurentSeries(F(0), F(0), (F(0), F(1), F(0), F(2),
+                                            F(1), F(0))),
+                 LaurentSeries(F(0), F(0), (F(0),) * 6)]
+        for _ in range(200):
+            terms = tuple(F(rng.randint(-2, 2), rng.choice([1, 2]))
+                          for _ in range(2 * rng.randint(1, 5)))
+            cases.append(LaurentSeries(F(0), F(0), terms))
+        stalled = 0
+        for series in cases:
+            order = len(series.s) // 2
+            s = series.s
+            mn = hankel_minors(series, order)
+            for j in range(1, order + 1):
+                assert mn.D[j - 1] == exact_det(
+                    [[s[i + k] for k in range(j)] for i in range(j)])
+                assert mn.Dhat[j - 1] == exact_det(
+                    [[s[i + k + 1] for k in range(j)] for i in range(j)])
+            stalled += any(d == 0 for d in mn.D[:-1] + mn.Dhat[:-1])
+        assert stalled >= 20
+
 
 class TestHankelCharacter:
     def test_strict_tp_matches_interlacing_direction(self):
@@ -134,10 +162,14 @@ class TestHurwitzMinors:
         assert hm.eta == (F(1), F(4), F(10), F(-60))
 
     def test_eta_is_shifted_delta_chain(self):
-        hm = hurwitz_minors(P(3, 1, 4, 1, 5))
-        assert hm.eta[0] == 3
-        for j in range(1, len(hm.delta) + 1):
-            assert hm.eta[j] == 3 * hm.delta[j - 1]
+        # eta is built from Delta; sweep the infinite layout independently
+        for p in (P(3, 1, 4, 1, 5), P(1, 0, 1, 0, 1), P(2, 0, 0, 1), P(7)):
+            hm = hurwitz_minors(p)
+            block = infinite_hurwitz_block(p, p.degree + 1)
+            assert hm.eta == tuple(leading_principal_minors(block))
+            assert hm.eta[0] == p.coeffs[0]
+            for j in range(1, len(hm.delta) + 1):
+                assert hm.eta[j] == p.coeffs[0] * hm.delta[j - 1]
 
     def test_layouts(self):
         p = P(1, 4, 1, -6)

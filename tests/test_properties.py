@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genhurwitz.polyalg import (
     Polynomial,
     RationalFunction,
+    compose_even,
     even_odd_split,
     format_polynomial,
     laurent_expand,
@@ -16,16 +17,24 @@ from genhurwitz.polyalg import (
     poly_gcd,
     recompose_split,
     reflect,
+    times_z,
 )
 from genhurwitz.minors import (
     exact_det,
     hankel_minors,
     hurwitz_minors,
+    infinite_hurwitz_block,
+    leading_principal_minors,
     scf_frobenius,
     strong_sign_changes,
 )
 from genhurwitz.stieltjes import NoCFError, cf_reconstruct, stieltjes_expand
-from genhurwitz.classify import classify, dual_transform
+from genhurwitz.classify import (
+    _dual_delta,
+    _reflected_delta,
+    classify,
+    dual_transform,
+)
 from genhurwitz.simatrix import ExactMatrix, char_poly, flip
 
 F = Fraction
@@ -40,6 +49,15 @@ def polynomials(draw, min_degree=1, max_degree=7):
     lead = draw(nonzero_rationals)
     rest = draw(st.lists(rationals, min_size=min_degree,
                          max_size=max_degree))
+    return Polynomial([lead] + rest)
+
+
+@st.composite
+def small_integer_polynomials(draw, max_degree=8):
+    """Entries in -2..2 make vanishing Hurwitz minors common."""
+    lead = draw(st.integers(min_value=-2, max_value=2).filter(bool))
+    rest = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                         min_size=1, max_size=max_degree))
     return Polynomial([lead] + rest)
 
 
@@ -86,6 +104,15 @@ class TestPolynomialInvariants:
     def test_dual_involution(self, p):
         assert dual_transform(dual_transform(p)) == p
 
+    @given(polynomials(min_degree=0))
+    def test_dual_is_the_twisted_recombination(self, p):
+        # s * (p0(-z^2) - z p1(-z^2)) with s = (-1)^(n(n+1)/2)
+        n = p.degree
+        split = even_odd_split(p)
+        raw = (compose_even(split.p0, -1)
+               - times_z(compose_even(split.p1, -1)))
+        assert dual_transform(p) == raw * (-1) ** (n * (n + 1) // 2)
+
     @given(polynomials(max_degree=4), polynomials(max_degree=3))
     @settings(max_examples=60)
     def test_gcd_divides_both(self, p, q):
@@ -107,11 +134,44 @@ class TestPolynomialInvariants:
 class TestMinorInvariants:
     @given(polynomials())
     def test_eta_chain_is_scaled_delta_chain(self, p):
+        # eta is built from Delta; the sweep of the infinite layout is not
         hm = hurwitz_minors(p)
+        block = infinite_hurwitz_block(p, p.degree + 1)
+        assert hm.eta == tuple(leading_principal_minors(block))
         a0 = p.coeffs[0]
         assert hm.eta[0] == a0
         for j in range(1, len(hm.eta)):
             assert hm.eta[j] == a0 * hm.delta[j - 1]
+
+    @given(small_integer_polynomials())
+    @example(Polynomial([1, 0, 1, 0, 1]))     # every odd-position entry 0
+    @example(Polynomial([1, 1, 1, 1]))        # Delta_2 = 0, Delta_3 = 0
+    @example(Polynomial([2, 0, 0, -1, 3]))
+    def test_reflection_and_dual_sign_tables(self, p):
+        """The derived tables classify uses, against fresh sweeps."""
+        n = p.degree
+        delta = hurwitz_minors(p).delta
+        # reflect(p) = p(-z) scales Hurwitz row t by (-1)^(n-1+t)
+        twisted = []
+        for k, d in enumerate(delta, start=1):
+            e = sum(n - 1 + t for t in range(k))
+            twisted.append(d if e % 2 == 0 else -d)
+        rp = reflect(p)
+        assert hurwitz_minors(rp).delta == tuple(twisted)
+        # negating every row scales Delta_k by (-1)^k
+        assert hurwitz_minors(-rp).delta == tuple(
+            d * (-1) ** k for k, d in enumerate(twisted, start=1))
+        # classify reflects a positive-leading p and normalizes the sign
+        if p.coeffs[0] > 0:
+            normalized = rp if rp.coeffs[0] > 0 else -rp
+            assert hurwitz_minors(normalized).delta == _reflected_delta(delta)
+        assert hurwitz_minors(dual_transform(p)).delta == _dual_delta(delta, n)
+
+    @given(small_integer_polynomials())
+    def test_origin_strip_keeps_the_prefix(self, p):
+        # the Hurwitz matrix of q is the leading block of that of z*q
+        n = p.degree
+        assert hurwitz_minors(times_z(p)).delta[:n] == hurwitz_minors(p).delta
 
     @given(polynomials(min_degree=1, max_degree=3),
            polynomials(min_degree=1, max_degree=3))

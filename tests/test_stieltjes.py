@@ -1,10 +1,18 @@
 """Continued fraction expansion, reconstruction, and pole-sign reading."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from genhurwitz.polyalg import Polynomial, RationalFunction
+from genhurwitz.minors import hankel_minors
+from genhurwitz.polyalg import (
+    DegenerateSplitError,
+    Polynomial,
+    RationalFunction,
+    associated_function,
+    laurent_expand,
+)
 from genhurwitz.stieltjes import (
     ExtendedCF,
     NoCFError,
@@ -63,10 +71,33 @@ class TestStieltjesExpand:
         assert cf.coefficient(1) == F(1, 2)
         assert cf.coefficient(2) == F(2)
 
+    def test_origin_pole_is_a_vanishing_top_dhat(self):
+        # the odd tail rests on Dhat_r = 0 exactly when 0 is a pole
+        rng = random.Random(77)
+        tails = set()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            den = P(*([1] + [rng.randint(-2, 2) for _ in range(n)]))
+            num = P(*[rng.randint(-2, 2) for _ in range(den.degree)])
+            if num.is_zero():
+                continue
+            red = RationalFunction(num, den).reduced()
+            r = red.den.degree
+            if r == 0:
+                continue
+            mn = hankel_minors(laurent_expand(red, r), r)
+            zero_pole = red.den.power_coeff(0) == 0
+            assert (mn.Dhat[r - 1] == 0) == zero_pole
+            try:
+                tails.add((stieltjes_expand(red).tail, zero_pole))
+            except NoCFError:
+                pass
+        assert tails == {("odd", True), ("even", False)}
+
 
 class TestMinorRoute:
-    # both computations run on every call and are asserted equal inside,
-    # so these only pin the values themselves
+    # cf_from_hurwitz_minors runs the minor route only; the series route
+    # is compared with it here
     def test_even_degree(self):
         cf = cf_from_hurwitz_minors(P(1, 2, 1))
         assert cf.c0 == 0
@@ -82,12 +113,45 @@ class TestMinorRoute:
         assert cf.c == (F(8, 5), F(-5, 12))
 
     def test_matches_series_route(self):
-        for coeffs in [(1, 2, 1), (1, 1, -2), (1, 4, 1, -6),
-                       (1, 3, 3, 1), (2, 3, -1, 5)]:
-            p = P(*coeffs)
-            from genhurwitz.polyalg import associated_function
-            assert cf_from_hurwitz_minors(p) == stieltjes_expand(
-                associated_function(p))
+        """Where the series route expands, the minor route gives the same
+        fraction; where the series route refuses, the minor route refuses
+        too.  The minor route alone may refuse more: a common factor of
+        the halves drops the pole count below l and kills a minor."""
+        rng = random.Random(1729)
+        corpus = [P(1, 2, 1), P(1, 1, -2), P(1, 4, 1, -6), P(1, 3, 3, 1),
+                  P(2, 3, -1, 5), P(1, 0, 1, 0), P(1, 0, 0, 0, 1)]
+        for _ in range(1500):
+            n = rng.randint(1, 7)
+            corpus.append(P(*([rng.choice([-2, -1, 1, 2])]
+                              + [rng.randint(-2, 2) for _ in range(n)])))
+        outcomes = set()
+        for p in corpus:
+            try:
+                minor = cf_from_hurwitz_minors(p)
+            except NoCFError as e:
+                minor = str(e)
+            try:
+                series = stieltjes_expand(associated_function(p))
+            except (NoCFError, DegenerateSplitError) as e:
+                series = str(e)
+            if isinstance(minor, StieltjesCF):
+                assert minor == series, p
+            else:
+                assert minor.startswith("no expansion: Delta_"), p
+            if isinstance(series, str):
+                assert isinstance(minor, str), p
+            outcomes.add((type(minor).__name__, type(series).__name__))
+        assert outcomes == {("StieltjesCF", "StieltjesCF"), ("str", "str"),
+                            ("str", "StieltjesCF")}
+
+    def test_refusal_messages(self):
+        # z^3 + z^2 + z + 1 = (z^2 + 1)(z + 1): halves share u + 1
+        for coeffs, message in [((1, 1, 1, 1), "no expansion: Delta_2 = 0"),
+                                ((1, 0, 1, 0), "no expansion: Delta_1 = 0"),
+                                ((1, 0, 2, 1), "no expansion: Delta_1 = 0")]:
+            with pytest.raises(NoCFError) as exc:
+                cf_from_hurwitz_minors(P(*coeffs))
+            assert str(exc.value) == message
 
     def test_constant_refused(self):
         with pytest.raises(NoCFError):
