@@ -1,5 +1,6 @@
 """Matrices with mirror-symmetric structure and their spectra."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,14 @@ class TestExactMatrix:
     def test_rejects_floats(self):
         with pytest.raises(InvalidInputError):
             M([[1.5, 0], [0, 1]])
+
+    @pytest.mark.parametrize("bad", [Decimal("1"), "1/0", "x"])
+    def test_rejects_other_entries_with_typed_error(self, bad):
+        # entries follow the polynomial coefficient rule: int, Fraction or
+        # a rational literal; anything else is an InvalidInputError
+        with pytest.raises(InvalidInputError):
+            M([[bad, 0], [0, 1]])
+        assert M([["1/2", 0], [0, 1]]).entry(0, 0) == Fraction(1, 2)
 
     def test_immutable(self):
         A = M([[1, 2], [3, 4]])
