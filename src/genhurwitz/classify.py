@@ -19,13 +19,18 @@ The decision tree runs on the Hurwitz minor chain: a gate of odd-position
 minors, then a Frobenius-rule sign change count for the order k, with the
 failure branches handled by an even-factor decomposition, the duality
 transform, and one reflection z -> -z.
+
+Each classification sweeps p's Hurwitz matrix once and splits p = f(z^2) q
+at most once, and only when Delta_{n-1} = 0 (otherwise f = 1 and q = p).
+The dual and reflected images take their minor chains and their splits
+from p's by fixed sign laws, and each root check on f or f(-u) runs once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polyalg import (
     InvalidInputError,
@@ -182,44 +187,72 @@ def _real_nonpositive_u_roots(f: Polynomial) -> bool:
     return strong_sign_changes(f.coeffs) == 0
 
 
-def _quasi_stable_check(p: Polynomial, delta: Tuple[Fraction, ...]):
+class _EvenSplit(NamedTuple):
+    """p = f(z^2) * q with f = gcd(p0, p1), monic in u.
+
+    `chain` is the Hurwitz minor chain of q, or None when q is constant
+    once an origin zero is stripped (then no check reads it).
+    """
+    f: Polynomial
+    q: Polynomial
+    chain: Optional[Tuple[Fraction, ...]]
+
+
+def _even_split(p: Polynomial, delta: Tuple[Fraction, ...]) -> _EvenSplit:
+    """The even-factor split of p (degree >= 2), given its minor chain.
+
+    Orlando's formula, Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1}
+    prod_{i<j} (z_i + z_j), makes Delta_{n-1} vanish exactly when two
+    zeros sum to zero, which is when p0 and p1 share a root.  So a nonzero
+    Delta_{n-1} gives f = 1 and q = p, whose chain is `delta`, with no
+    Euclid.  Otherwise f comes from the gcd and q takes its own sweep.
+    """
+    if delta[p.degree - 2] != 0:
+        return _EvenSplit(Polynomial([1]), p, delta)
+    halves = even_odd_split(p)
+    if halves.p0.is_zero() or halves.p1.is_zero():
+        f = (halves.p1 if halves.p0.is_zero() else halves.p0).monic()
+    else:
+        f = poly_gcd(halves.p0, halves.p1)
+    q = p // compose_even(f)
+    stripped = q.degree - (q.power_coeff(0) == 0)
+    return _EvenSplit(f, q, hurwitz_minors(q).delta if stripped >= 1 else None)
+
+
+def _quasi_stable_check(split: _EvenSplit, roots_ok: Dict[Polynomial, bool]):
     """Exact quasi-stability with degeneracy count.
 
-    Splits off the largest even divisor f(z^2) with f = gcd(p0, p1); the
-    remaining cofactor is coprime in its halves, so it carries at most a
-    simple origin zero.  p is quasi-stable iff f has only real nonpositive
-    u-roots and the (origin-stripped) cofactor is Hurwitz stable.
+    `split` is p = f(z^2) q with f = gcd(p0, p1) (see `_even_split`); the
+    cofactor is coprime in its halves, so it carries at most a simple
+    origin zero.  p is quasi-stable iff f has only real nonpositive
+    u-roots and the (origin-stripped) cofactor is Hurwitz stable.  The
+    Hurwitz matrix of q/z is the leading block of q's, so the stripped
+    cofactor's chain is a prefix of `split.chain`.
 
-    `delta` is p's Hurwitz minor chain.  When f is trivial the cofactor is
-    p or p/z, whose chain is a prefix of it: the Hurwitz matrix of p/z is
-    the leading block of p's.  Only a nontrivial f costs a minor sweep.
+    `roots_ok` memoizes the root check on f across the images of one
+    classification, which share f or f(-u).
 
     Returns (ok, m, certificate).
     """
-    split = even_odd_split(p)
-    if split.p0.is_zero() or split.p1.is_zero():
-        f = (split.p1 if split.p0.is_zero() else split.p0).monic()
-    else:
-        f = poly_gcd(split.p0, split.p1)
-    q = p // compose_even(f)
+    f, q = split.f, split.q
     m = 2 * f.degree
     cert = {"even_factor_u": f, "cofactor": q}
-    origin = q.power_coeff(0) == 0
-    if origin:
-        q = q // Polynomial([1, 0])
+    if q.power_coeff(0) == 0:
+        q = Polynomial(q.coeffs[:-1])
         m += 1
         cert["cofactor_origin_zero"] = True
         if q.power_coeff(0) == 0:
             cert["reason"] = "multiple origin zero outside the even factor"
             return False, None, cert
-    if q.degree >= 1:
-        chain = delta[:q.degree] if f.degree == 0 else hurwitz_minors(q).delta
-        if not all(d > 0 for d in chain):
-            cert["reason"] = "cofactor is not stable"
-            return False, None, cert
-    if f.degree >= 1 and not _real_nonpositive_u_roots(f):
-        cert["reason"] = "even factor has roots off the nonpositive ray"
+    if q.degree >= 1 and not all(d > 0 for d in split.chain[:q.degree]):
+        cert["reason"] = "cofactor is not stable"
         return False, None, cert
+    if f.degree >= 1:
+        if f not in roots_ok:
+            roots_ok[f] = _real_nonpositive_u_roots(f)
+        if not roots_ok[f]:
+            cert["reason"] = "even factor has roots off the nonpositive ray"
+            return False, None, cert
     return True, m, cert
 
 
@@ -273,22 +306,52 @@ def _dual_delta(delta: Tuple[Fraction, ...], n: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _dual_split(split: _EvenSplit) -> _EvenSplit:
+    """The split of dual_transform(p) from that of p.
+
+    The dual's halves are s*p0(-u) and -s*p1(-u), so its even factor is
+    monic f(-u) (f's odd-index coefficients negated) and its cofactor is
+    dual_transform(q): both maps keep the leading coefficient.
+    """
+    f = Polynomial([-c if i % 2 else c for i, c in enumerate(split.f.coeffs)])
+    chain = split.chain
+    if chain is not None:
+        chain = _dual_delta(chain, split.q.degree)
+    return _EvenSplit(f, dual_transform(split.q), chain)
+
+
+def _reflected_split(split: _EvenSplit) -> _EvenSplit:
+    """The split of the sign-normalized reflect(p) from that of p.
+
+    reflect(p) = f(z^2) reflect(q), and p and q have degrees of one
+    parity, so one sign normalizes both.
+    """
+    q = reflect(split.q)
+    if q.coeffs[0] < 0:
+        q = -q
+    chain = split.chain
+    if chain is not None:
+        chain = _reflected_delta(chain)
+    return _EvenSplit(split.f, q, chain)
+
+
 # ---------------------------------------------------------------------------
 # the classifier
 
 def classify(p: Union[Polynomial, Sequence], *,
-             _reflected_chain: Optional[Tuple[Fraction, ...]] = None
-             ) -> ClassificationReport:
+             _reflected: Optional[Tuple] = None) -> ClassificationReport:
     """Classify a real polynomial by zero location, exactly.
 
     The zero polynomial is refused; constants are unclassified.  The
     leading coefficient is normalized positive first (recorded in the
     certificates), which never moves a zero.
 
-    One Hurwitz minor sweep serves the whole tree: the dual and the
-    reflected images get their minors from p's by fixed sign tables.  The
-    reflected call receives the chain of its sign-normalized input
-    through the private keyword, which also stops it reflecting again.
+    One Hurwitz minor sweep and at most one even-factor split serve the
+    whole tree: the dual and the reflected images get their minors from
+    p's by fixed sign tables and their splits from p's split.  The
+    reflected call receives (chain, split, root-check memo) of its
+    sign-normalized input through the private keyword, which also stops
+    it reflecting again.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
@@ -315,8 +378,10 @@ def classify(p: Union[Polynomial, Sequence], *,
         return ClassificationReport(LABEL_SI, order_k=1, si_type="I",
                                     certificates=cert)
 
-    reflected = _reflected_chain is not None
-    delta = _reflected_chain if reflected else hurwitz_minors(p).delta
+    if _reflected is None:
+        delta, split, roots_ok = hurwitz_minors(p).delta, None, {}
+    else:
+        delta, split, roots_ok = _reflected
     cert["delta"] = list(delta)
     gate_idx = list(range(n - 1, 0, -2))
     gate = all(delta[i - 1] > 0 for i in gate_idx)
@@ -358,24 +423,25 @@ def classify(p: Union[Polynomial, Sequence], *,
             return ClassificationReport(LABEL_GH, order_k=k, si_type="I",
                                         certificates=cert)
 
-    ok, m, qcert = _quasi_stable_check(p, delta)
+    if split is None:
+        split = _even_split(p, delta)
+    ok, m, qcert = _quasi_stable_check(split, roots_ok)
     if ok:
         cert["quasi_certificate"] = qcert
         return ClassificationReport(LABEL_QUASI, degeneracy_m=m,
                                     certificates=cert)
-    dual = dual_transform(p)
-    ok, m, qcert = _quasi_stable_check(dual, _dual_delta(delta, n))
+    ok, m, qcert = _quasi_stable_check(_dual_split(split), roots_ok)
     if ok and m >= 2:
         # m = 1 cannot reach this branch (that shape passes the gate);
         # the bound keeps the label disjoint from almost-self-interlacing
-        cert["dual_image"] = dual
+        cert["dual_image"] = dual_transform(p)
         cert["dual_quasi_certificate"] = qcert
         return ClassificationReport(LABEL_QUASI_SI, degeneracy_m=m,
                                     si_type="I", certificates=cert)
 
-    if not reflected:
-        inner = classify(reflect(p),
-                         _reflected_chain=_reflected_delta(delta))
+    if _reflected is None:
+        inner = classify(reflect(p), _reflected=(
+            _reflected_delta(delta), _reflected_split(split), roots_ok))
         cert["reflected_label"] = inner.label
         if inner.si_type == "I":
             return ClassificationReport(inner.label, order_k=inner.order_k,

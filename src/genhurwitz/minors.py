@@ -80,7 +80,8 @@ def _integerize(rows: Sequence[Sequence[Fraction]]):
     """Clear denominators row by row; returns (int matrix, row multipliers).
 
     The multipliers are positive, so minor signs are unchanged and the
-    original values come back by dividing the product out.
+    original values come back by dividing the product out.  Entries are
+    Fractions or ints, scaled by integer arithmetic alone.
     """
     mults = []
     m = []
@@ -90,7 +91,7 @@ def _integerize(rows: Sequence[Sequence[Fraction]]):
             d = x.denominator
             mult = mult * d // gcd(mult, d)
         mults.append(mult)
-        m.append([int(x * mult) for x in row])
+        m.append([x.numerator * (mult // x.denominator) for x in row])
     return m, mults
 
 
@@ -247,6 +248,10 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
     infinite layout is the finite matrix bordered by a first column
     (a_0, 0, ..., 0), so eta_j = a_0 * Delta_{j-1} with Delta_0 = 1, and
     eta is built from that formula.
+
+    Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1} prod_{i<j} (z_i + z_j)
+    (Orlando's formula) vanishes exactly when the even and odd halves
+    share a factor; `classify` reads it to skip the gcd of the halves.
     """
     if p.is_zero():
         raise InvalidInputError("Hurwitz minors of the zero polynomial")

@@ -1,6 +1,7 @@
 """Zero-location taxonomy, duality, and the criterion variants."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,20 @@ from genhurwitz.polyalg import (
     Polynomial,
     RationalFunction,
     compose_even,
+    even_odd_split,
     laurent_expand,
+    poly_gcd,
     reflect,
+    times_z,
 )
-from genhurwitz.minors import hankel_minors
+from genhurwitz.minors import hankel_minors, hurwitz_minors
 from genhurwitz.oracle import StructureSpec, generate_instance
 from genhurwitz.classify import (
     LABELS,
+    _dual_split,
+    _even_split,
     _real_nonpositive_u_roots,
+    _reflected_split,
     classify,
     derivative_family,
     dual_transform,
@@ -410,3 +417,67 @@ class TestEvenFactorRoots:
             assert _two_family_verdict(f) == truth, f
             verdicts.add(truth)
         assert verdicts == {True, False}
+
+
+def _direct_split(p):
+    """(f, q, chain) by the Euclid on p's own halves, long division by
+    f(z^2), and a fresh sweep of q (None where q/z^j is constant)."""
+    split = even_odd_split(p)
+    if split.p0.is_zero() or split.p1.is_zero():
+        f = (split.p1 if split.p0.is_zero() else split.p0).monic()
+    else:
+        f = poly_gcd(split.p0, split.p1)
+    q, rem = divmod(p, compose_even(f))
+    assert rem.is_zero()
+    stripped = q.degree - (q.power_coeff(0) == 0)
+    return f, q, hurwitz_minors(q).delta if stripped >= 1 else None
+
+
+def _split_inputs():
+    """f(z^2) * g with g's halves coprime or not, times z or not."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        f = Polynomial([1] + [rng.randint(-3, 3)
+                              for _ in range(rng.randint(0, 3))])
+        g = Polynomial([rng.choice([1, 2, 3])]
+                       + [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
+        p = compose_even(f) * g
+        if rng.random() < 0.4:
+            p = times_z(p)
+        if p.degree >= 2:
+            yield p
+
+
+class TestDerivedSplits:
+    def test_match_the_direct_route_on_both_images(self):
+        seen = set()
+        for p in _split_inputs():
+            split = _even_split(p, hurwitz_minors(p).delta)
+            rp = reflect(p)
+            rp = -rp if rp.coeffs[0] < 0 else rp
+            reflected = _reflected_split(split)
+            for image, derived in ((p, split),
+                                   (dual_transform(p), _dual_split(split)),
+                                   (rp, reflected),
+                                   (dual_transform(rp),
+                                    _dual_split(reflected))):
+                assert (derived.f, derived.q, derived.chain) \
+                    == _direct_split(image), image
+            seen.add((split.f.degree > 0, split.q.power_coeff(0) == 0,
+                      split.chain is None))
+        assert {(True, False, False), (True, True, False), (True, False, True),
+                (True, True, True), (False, False, False),
+                (False, True, False)} <= seen
+
+    def test_no_euclid_when_delta_n_minus_1_is_nonzero(self, monkeypatch):
+        # by Orlando's formula the halves are then coprime, so no image of
+        # the classification needs a gcd
+        def refuse(a, b):
+            raise AssertionError("Euclid ran on coprime halves")
+        monkeypatch.setattr(sys.modules["genhurwitz.classify"], "poly_gcd",
+                            refuse)
+        reached = 0
+        for p in _mixed_corpus():
+            if p.degree >= 2 and hurwitz_minors(p).delta[p.degree - 2] != 0:
+                reached += "reflected_label" in classify(p).certificates
+        assert reached > 50

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,69 @@ def small_integer_polynomials(draw, max_degree=8):
     rest = draw(st.lists(st.integers(min_value=-2, max_value=2),
                          min_size=1, max_size=max_degree))
     return Polynomial([lead] + rest)
+
+
+@st.composite
+def even_factor_products(draw):
+    """f(z^2) * g: the halves share f, and more where g's halves meet."""
+    f = draw(small_integer_polynomials(max_degree=2))
+    g = draw(small_integer_polynomials(max_degree=4))
+    return compose_even(f) * g
+
+
+@st.composite
+def mixed_matrices(draw, max_n=5):
+    """Square matrices of ints and Fractions of unlike denominators; a
+    zero corner or a row copied at a rational scale makes some leading
+    minors vanish, so the sweep stalls into its per-order fallback."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.one_of(st.integers(min_value=-3, max_value=3),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["free", "zero corner", "copied row"]))
+    if shape == "zero corner":
+        rows[0][0] = 0
+    elif shape == "copied row" and n >= 2:
+        src = draw(st.integers(min_value=0, max_value=n - 2))
+        dst = draw(st.integers(min_value=src + 1, max_value=n - 1))
+        scale = draw(rationals)
+        rows[dst] = [scale * x for x in rows[src]]
+    return rows
+
+
+def _gauss_det(rows):
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            ratio = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= ratio * m[k][j]
+    return det
+
+
+def _sympy_poly(h, u):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in h.coeffs] or [0], u, domain="QQ")
+
+
+@st.composite
+def strictly_proper_pairs(draw):
+    """(num, den) with 1 <= deg num < deg den <= 3; drawing den first
+    leaves nothing to reject."""
+    den = draw(polynomials(min_degree=2, max_degree=3))
+    num = draw(polynomials(min_degree=1, max_degree=den.degree - 1))
+    return num, den
 
 
 @st.composite
@@ -167,18 +231,49 @@ class TestMinorInvariants:
             assert hurwitz_minors(normalized).delta == _reflected_delta(delta)
         assert hurwitz_minors(dual_transform(p)).delta == _dual_delta(delta, n)
 
+    @given(st.one_of(small_integer_polynomials(), even_factor_products()))
+    @example(Polynomial([1, 2, 3, 0, 0]))     # double origin zero
+    @example(Polynomial([1, 2, -1, -2]))      # the pair +-1
+    @example(Polynomial([1, 1, 1, 1]))        # the axis pair +-i
+    @example(Polynomial([1, 3, 5, 15, 4, 12]))    # (z^2+1)(z^2+4)(z+3)
+    @example(Polynomial([1, 3, 3, 1]))        # triple zero, coprime halves
+    @example(Polynomial([1, 1, -1, -1]))      # (z-1)(z+1)^2
+    @example(Polynomial([1, 0, 3, 0, 2]))     # odd half vanishes
+    @example(Polynomial([1, 0, -4, 0]))       # even half vanishes
+    @example(Polynomial([2, 0, 3]))           # degree 2, odd half vanishes
+    def test_orlando_minor_detects_shared_halves(self, p):
+        """Delta_{n-1} != 0 exactly when gcd(p0, p1) = 1, the skip that
+        spares classify the Euclid; sympy's gcd is the independent
+        oracle."""
+        assume(p.degree >= 2)
+        split = even_odd_split(p)
+        u = sympy.Symbol("u")
+        shared = sympy.gcd(_sympy_poly(split.p0, u), _sympy_poly(split.p1, u))
+        coprime = shared.degree() == 0
+        assert (poly_gcd(split.p0, split.p1).degree == 0) == coprime
+        assert (hurwitz_minors(p).delta[p.degree - 2] != 0) == coprime
+
+    @given(mixed_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[F(1, 2), 1, F(2, 3)], [1, 2, F(4, 3)], [0, F(1, 5), 7]])
+    @example([[0, F(1, 3), 2], [F(1, 4), 0, 1], [3, F(2, 7), 0]])
+    def test_determinant_kernels_on_mixed_entries(self, rows):
+        n = len(rows)
+        assert exact_det(rows) == _gauss_det(rows)
+        assert leading_principal_minors(rows) == [
+            _gauss_det([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+
     @given(small_integer_polynomials())
     def test_origin_strip_keeps_the_prefix(self, p):
         # the Hurwitz matrix of q is the leading block of that of z*q
         n = p.degree
         assert hurwitz_minors(times_z(p)).delta[:n] == hurwitz_minors(p).delta
 
-    @given(polynomials(min_degree=1, max_degree=3),
-           polynomials(min_degree=1, max_degree=3))
+    @given(strictly_proper_pairs())
     @settings(max_examples=50)
-    def test_hankel_rank_cutoff(self, num, den):
+    def test_hankel_rank_cutoff(self, pair):
         # minors beyond the pole count vanish
-        assume(num.degree < den.degree)
+        num, den = pair
         R = RationalFunction(num, den).reduced()
         r = R.den.degree
         assume(isinstance(r, int) and r >= 1)
