@@ -22,8 +22,12 @@ transform, and one reflection z -> -z.
 
 Each classification sweeps p's Hurwitz matrix once and splits p = f(z^2) q
 at most once, and only when Delta_{n-1} = 0 (otherwise f = 1 and q = p).
-The dual and reflected images take their minor chains and their splits
-from p's by fixed sign laws, and each root check on f or f(-u) runs once.
+The dual and reflected images take their minor chains from p's by fixed
+sign laws and their splits from p's split.  No cofactor takes a second
+sweep: a_j(p) = sum_i f_i a_{j-2i}(q) gives H(p) = H(q) U_f, with U_f the
+upper triangular Toeplitz matrix of f's coefficients, so
+Delta_k(f(z^2) q) = lc(f)^k Delta_k(q) for k <= deg q, and for the monic
+f used here q's chain is a prefix of its image's.  Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -188,14 +192,9 @@ def _real_nonpositive_u_roots(f: Polynomial) -> bool:
 
 
 class _EvenSplit(NamedTuple):
-    """p = f(z^2) * q with f = gcd(p0, p1), monic in u.
-
-    `chain` is the Hurwitz minor chain of q, or None when q is constant
-    once an origin zero is stripped (then no check reads it).
-    """
+    """p = f(z^2) * q with f = gcd(p0, p1), monic in u."""
     f: Polynomial
     q: Polynomial
-    chain: Optional[Tuple[Fraction, ...]]
 
 
 def _even_split(p: Polynomial, delta: Tuple[Fraction, ...]) -> _EvenSplit:
@@ -204,55 +203,45 @@ def _even_split(p: Polynomial, delta: Tuple[Fraction, ...]) -> _EvenSplit:
     Orlando's formula, Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1}
     prod_{i<j} (z_i + z_j), makes Delta_{n-1} vanish exactly when two
     zeros sum to zero, which is when p0 and p1 share a root.  So a nonzero
-    Delta_{n-1} gives f = 1 and q = p, whose chain is `delta`, with no
-    Euclid.  Otherwise f comes from the gcd and q takes its own sweep.
+    Delta_{n-1} gives f = 1 and q = p with no Euclid.  Otherwise f comes
+    from the gcd.  q is not swept (see `_quasi_stable_check`).
     """
     if delta[p.degree - 2] != 0:
-        return _EvenSplit(Polynomial([1]), p, delta)
+        return _EvenSplit(Polynomial([1]), p)
     halves = even_odd_split(p)
     if halves.p0.is_zero() or halves.p1.is_zero():
         f = (halves.p1 if halves.p0.is_zero() else halves.p0).monic()
     else:
         f = poly_gcd(halves.p0, halves.p1)
-    q = p // compose_even(f)
-    stripped = q.degree - (q.power_coeff(0) == 0)
-    return _EvenSplit(f, q, hurwitz_minors(q).delta if stripped >= 1 else None)
+    return _EvenSplit(f, p // compose_even(f))
 
 
-def _quasi_stable_check(split: _EvenSplit, roots_ok: Dict[Polynomial, bool]):
+def _quasi_stable_check(split: _EvenSplit, delta: Tuple[Fraction, ...]):
     """Exact quasi-stability with degeneracy count.
 
-    `split` is p = f(z^2) q with f = gcd(p0, p1) (see `_even_split`); the
-    cofactor is coprime in its halves, so it carries at most a simple
-    origin zero.  p is quasi-stable iff f has only real nonpositive
-    u-roots and the (origin-stripped) cofactor is Hurwitz stable.  The
-    Hurwitz matrix of q/z is the leading block of q's, so the stripped
-    cofactor's chain is a prefix of `split.chain`.
-
-    `roots_ok` memoizes the root check on f across the images of one
-    classification, which share f or f(-u).
+    `split` is p = f(z^2) q (see `_even_split`) and `delta` is p's minor
+    chain.  p is quasi-stable iff f has only real nonpositive u-roots and
+    the origin-stripped cofactor is Hurwitz stable.  q's halves are
+    coprime, so z^2 never divides it.  With f monic, q's chain is `delta`
+    through deg q (see the module docstring) and that of q/z one entry
+    shorter, so no cofactor is swept; nor is the root check memoized.
 
     Returns (ok, m, certificate).
     """
-    f, q = split.f, split.q
+    f, q = split
     m = 2 * f.degree
     cert = {"even_factor_u": f, "cofactor": q}
+    stripped = q.degree
     if q.power_coeff(0) == 0:
-        q = Polynomial(q.coeffs[:-1])
+        stripped -= 1
         m += 1
         cert["cofactor_origin_zero"] = True
-        if q.power_coeff(0) == 0:
-            cert["reason"] = "multiple origin zero outside the even factor"
-            return False, None, cert
-    if q.degree >= 1 and not all(d > 0 for d in split.chain[:q.degree]):
+    if not all(d > 0 for d in delta[:stripped]):
         cert["reason"] = "cofactor is not stable"
         return False, None, cert
-    if f.degree >= 1:
-        if f not in roots_ok:
-            roots_ok[f] = _real_nonpositive_u_roots(f)
-        if not roots_ok[f]:
-            cert["reason"] = "even factor has roots off the nonpositive ray"
-            return False, None, cert
+    if not _real_nonpositive_u_roots(f):
+        cert["reason"] = "even factor has roots off the nonpositive ray"
+        return False, None, cert
     return True, m, cert
 
 
@@ -314,10 +303,7 @@ def _dual_split(split: _EvenSplit) -> _EvenSplit:
     dual_transform(q): both maps keep the leading coefficient.
     """
     f = Polynomial([-c if i % 2 else c for i, c in enumerate(split.f.coeffs)])
-    chain = split.chain
-    if chain is not None:
-        chain = _dual_delta(chain, split.q.degree)
-    return _EvenSplit(f, dual_transform(split.q), chain)
+    return _EvenSplit(f, dual_transform(split.q))
 
 
 def _reflected_split(split: _EvenSplit) -> _EvenSplit:
@@ -329,10 +315,7 @@ def _reflected_split(split: _EvenSplit) -> _EvenSplit:
     q = reflect(split.q)
     if q.coeffs[0] < 0:
         q = -q
-    chain = split.chain
-    if chain is not None:
-        chain = _reflected_delta(chain)
-    return _EvenSplit(split.f, q, chain)
+    return _EvenSplit(split.f, q)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +331,9 @@ def classify(p: Union[Polynomial, Sequence], *,
 
     One Hurwitz minor sweep and at most one even-factor split serve the
     whole tree: the dual and the reflected images get their minors from
-    p's by fixed sign tables and their splits from p's split.  The
-    reflected call receives (chain, split, root-check memo) of its
+    p's by fixed sign tables and their splits from p's split, and every
+    cofactor's minors are a prefix of its image's chain, so no cofactor
+    is swept.  The reflected call receives (chain, split) of its
     sign-normalized input through the private keyword, which also stops
     it reflecting again.
     """
@@ -379,9 +363,9 @@ def classify(p: Union[Polynomial, Sequence], *,
                                     certificates=cert)
 
     if _reflected is None:
-        delta, split, roots_ok = hurwitz_minors(p).delta, None, {}
+        delta, split = hurwitz_minors(p).delta, None
     else:
-        delta, split, roots_ok = _reflected
+        delta, split = _reflected
     cert["delta"] = list(delta)
     gate_idx = list(range(n - 1, 0, -2))
     gate = all(delta[i - 1] > 0 for i in gate_idx)
@@ -425,12 +409,13 @@ def classify(p: Union[Polynomial, Sequence], *,
 
     if split is None:
         split = _even_split(p, delta)
-    ok, m, qcert = _quasi_stable_check(split, roots_ok)
+    ok, m, qcert = _quasi_stable_check(split, delta)
     if ok:
         cert["quasi_certificate"] = qcert
         return ClassificationReport(LABEL_QUASI, degeneracy_m=m,
                                     certificates=cert)
-    ok, m, qcert = _quasi_stable_check(_dual_split(split), roots_ok)
+    ok, m, qcert = _quasi_stable_check(_dual_split(split),
+                                       _dual_delta(delta, n))
     if ok and m >= 2:
         # m = 1 cannot reach this branch (that shape passes the gate);
         # the bound keeps the label disjoint from almost-self-interlacing
@@ -441,7 +426,7 @@ def classify(p: Union[Polynomial, Sequence], *,
 
     if _reflected is None:
         inner = classify(reflect(p), _reflected=(
-            _reflected_delta(delta), _reflected_split(split), roots_ok))
+            _reflected_delta(delta), _reflected_split(split)))
         cert["reflected_label"] = inner.label
         if inner.si_type == "I":
             return ClassificationReport(inner.label, order_k=inner.order_k,

@@ -211,19 +211,25 @@ def hankel_character_test(minors: HankelMinors, mode: str) -> bool:
 # ---------------------------------------------------------------------------
 # Hurwitz minors
 
+_ZERO = Fraction(0)
+
+
 def finite_hurwitz_matrix(p: Polynomial) -> List[List[Fraction]]:
     """The n x n Hurwitz matrix: row t, column c holds a_{2c+1-t}."""
     if p.is_zero():
         raise InvalidInputError("Hurwitz matrix of the zero polynomial")
     n = p.degree
-    return [[p.coeff(2 * c + 1 - t) for c in range(n)] for t in range(n)]
+    # row t is a stride-2 slice of the coefficients padded with one shared 0
+    a = [_ZERO] * n + list(p.coeffs) + [_ZERO] * n
+    return [a[n + 1 - t:3 * n + 1 - t:2] for t in range(n)]
 
 
 def infinite_hurwitz_block(p: Polynomial, size: int) -> List[List[Fraction]]:
     """Leading block of the doubly infinite layout: row t, col c is a_{2c-t}."""
     if p.is_zero():
         raise InvalidInputError("Hurwitz block of the zero polynomial")
-    return [[p.coeff(2 * c - t) for c in range(size)] for t in range(size)]
+    a = [_ZERO] * size + list(p.coeffs) + [_ZERO] * (2 * size)
+    return [a[size - t:3 * size - t:2] for t in range(size)]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .polyalg import (
     Polynomial,
     RationalFunction,
     laurent_expand,
-    pole_count,
 )
 from .minors import hankel_minors, hurwitz_minors
 
@@ -77,7 +76,7 @@ def stieltjes_expand(R: RationalFunction) -> StieltjesCF:
     red = R.reduced()
     if not red.num.is_zero() and red.num.degree > red.den.degree:
         raise NoCFError("function is not finite at infinity")
-    r = pole_count(R)
+    r = red.den.degree
     series = laurent_expand(red, r)
     c0 = series.s_minus1
     if r == 0:

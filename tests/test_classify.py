@@ -420,8 +420,7 @@ class TestEvenFactorRoots:
 
 
 def _direct_split(p):
-    """(f, q, chain) by the Euclid on p's own halves, long division by
-    f(z^2), and a fresh sweep of q (None where q/z^j is constant)."""
+    """(f, q) by the Euclid on p's own halves and long division by f(z^2)."""
     split = even_odd_split(p)
     if split.p0.is_zero() or split.p1.is_zero():
         f = (split.p1 if split.p0.is_zero() else split.p0).monic()
@@ -429,8 +428,7 @@ def _direct_split(p):
         f = poly_gcd(split.p0, split.p1)
     q, rem = divmod(p, compose_even(f))
     assert rem.is_zero()
-    stripped = q.degree - (q.power_coeff(0) == 0)
-    return f, q, hurwitz_minors(q).delta if stripped >= 1 else None
+    return f, q
 
 
 def _split_inputs():
@@ -461,13 +459,38 @@ class TestDerivedSplits:
                                    (rp, reflected),
                                    (dual_transform(rp),
                                     _dual_split(reflected))):
-                assert (derived.f, derived.q, derived.chain) \
-                    == _direct_split(image), image
-            seen.add((split.f.degree > 0, split.q.power_coeff(0) == 0,
-                      split.chain is None))
+                assert tuple(derived) == _direct_split(image), image
+                # the cofactor's halves are coprime, so z^2 never divides
+                # it: at most a simple origin zero is left to strip
+                q = derived.q
+                assert q.power_coeff(0) != 0 or q.power_coeff(1) != 0, image
+            origin = split.q.power_coeff(0) == 0
+            seen.add((split.f.degree > 0, origin,
+                      split.q.degree - origin == 0))
         assert {(True, False, False), (True, True, False), (True, False, True),
                 (True, True, True), (False, False, False),
                 (False, True, False)} <= seen
+
+    def test_one_hurwitz_sweep_per_classification(self, monkeypatch):
+        # no cofactor and no image is swept: each reads a prefix of, or a
+        # sign law applied to, the chain of the classified polynomial
+        module = sys.modules["genhurwitz.classify"]
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return hurwitz_minors(p)
+        monkeypatch.setattr(module, "hurwitz_minors", counting)
+        reached = set()
+        for p in _split_inputs():
+            calls.clear()
+            cert = classify(p).certificates
+            assert len(calls) == 1, p
+            reached.update(key for key in ("quasi_certificate",
+                                           "dual_quasi_certificate",
+                                           "reflected_label") if key in cert)
+        assert reached == {"quasi_certificate", "dual_quasi_certificate",
+                           "reflected_label"}
 
     def test_no_euclid_when_delta_n_minus_1_is_nonzero(self, monkeypatch):
         # by Orlando's formula the halves are then coprime, so no image of

@@ -71,6 +71,15 @@ def even_factor_products(draw):
 
 
 @st.composite
+def even_factors(draw):
+    """f in u of degree 0-3 with a leading coefficient of either sign, not
+    always 1; a zero tail puts u = z^2 itself in f(z^2)."""
+    lead = draw(st.sampled_from([-3, -1, F(1, 2), 1, 1, 2]))
+    rest = draw(st.lists(st.integers(min_value=-2, max_value=2), max_size=3))
+    return Polynomial([lead] + rest)
+
+
+@st.composite
 def mixed_matrices(draw, max_n=5):
     """Square matrices of ints and Fractions of unlike denominators; a
     zero corner or a row copied at a rational scale makes some leading
@@ -252,6 +261,22 @@ class TestMinorInvariants:
         coprime = shared.degree() == 0
         assert (poly_gcd(split.p0, split.p1).degree == 0) == coprime
         assert (hurwitz_minors(p).delta[p.degree - 2] != 0) == coprime
+
+    @given(even_factors(), small_integer_polynomials(max_degree=6))
+    @example(Polynomial([1, 1]), Polynomial([1, 0, 1]))    # axis pairs in both
+    @example(Polynomial([1, 0]), Polynomial([1, 2, 0]))    # origin zeros in both
+    @example(Polynomial([-2, 0, 1]), Polynomial([1, 1, 1, 1]))  # Delta_2 = 0
+    @example(Polynomial([F(1, 2), 3]), Polynomial([1, 0, 3, 0, 2]))  # odd half 0
+    @example(Polynomial([1, -1]), Polynomial([1, 2, -1, -2]))   # the pair +-1
+    def test_even_factor_scales_the_leading_minors(self, f, q):
+        """Delta_k(f(z^2) q) = lc(f)^k Delta_k(q) for k <= deg q: the
+        Hurwitz matrix of f(z^2) q is that of q times the triangular
+        Toeplitz matrix of f, so classify reads a cofactor's chain as a
+        prefix of its image's.  Two independent sweeps."""
+        lead = f.coeffs[0]
+        image = hurwitz_minors(compose_even(f) * q).delta
+        assert image[:q.degree] == tuple(
+            lead ** k * d for k, d in enumerate(hurwitz_minors(q).delta, 1))
 
     @given(mixed_matrices())
     @example([[0, 1], [1, 0]])

@@ -96,6 +96,25 @@ class TestStieltjesExpand:
                 pass
         assert tails == {("odd", True), ("even", False)}
 
+    def test_one_euclid_per_expansion(self, monkeypatch):
+        # the pole count is read off the reduced denominator, not
+        # recomputed by a second reduction
+        calls = []
+
+        def counting(a, b):
+            calls.append(a)
+            return poly_gcd(a, b)
+        monkeypatch.setattr("genhurwitz.polyalg.poly_gcd", counting)
+        for R in (RF([2], [1, 1]), RF([1, 1], [4, -6]), RF([1], [1, 0]),
+                  RF([1, 1], [1, 0, -1])):      # the last cancels to 1/(u-1)
+            calls.clear()
+            stieltjes_expand(R)
+            assert len(calls) == 1, R
+        calls.clear()
+        with pytest.raises(NoCFError):
+            stieltjes_expand(RF([1], [1, 0, -1]))
+        assert len(calls) == 1
+
 
 class TestMinorRoute:
     # cf_from_hurwitz_minors runs the minor route only; the series route
