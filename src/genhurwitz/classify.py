@@ -20,14 +20,19 @@ minors, then a Frobenius-rule sign change count for the order k, with the
 failure branches handled by an even-factor decomposition, the duality
 transform, and one reflection z -> -z.
 
-Each classification sweeps p's Hurwitz matrix once and splits p = f(z^2) q
-at most once, and only when Delta_{n-1} = 0 (otherwise f = 1 and q = p).
-The dual and reflected images take their minor chains from p's by fixed
-sign laws and their splits from p's split.  No cofactor takes a second
-sweep: a_j(p) = sum_i f_i a_{j-2i}(q) gives H(p) = H(q) U_f, with U_f the
-upper triangular Toeplitz matrix of f's coefficients, so
+Each classification runs p's fraction-free Routh array once
+(`hurwitz_minors`), which gives the chain and, unless an entry of the
+array stalls, the even factor f = gcd(p0, p1) from the row above its
+first whole zero row; p = f(z^2) q is split at most once.  The dual and
+reflected images take their minor chains from p's by fixed sign laws and
+their splits from p's split.  No cofactor takes a second sweep:
+a_j(p) = sum_i f_i a_{j-2i}(q) gives H(p) = H(q) U_f, with U_f the upper
+triangular Toeplitz matrix of f's coefficients, so
 Delta_k(f(z^2) q) = lc(f)^k Delta_k(q) for k <= deg q, and for the monic
-f used here q's chain is a prefix of its image's.  Nothing is memoized.
+f used here q's chain is a prefix of its image's.  The root check on f
+is one more Routh array, by Hermite-Biehler: the distinct roots of f are
+real and negative iff f(z^2) + z f'(z^2) is Hurwitz stable up to its
+even factor (see `_real_nonpositive_u_roots`).  Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ from .polyalg import (
     times_z,
 )
 from .minors import (
+    HurwitzMinors,
     InvalidSequenceError,
+    _routh,
     hankel_minors,
     hurwitz_minors,
-    leading_principal_minors,
     scf_frobenius,
     strong_sign_changes,
 )
@@ -168,27 +174,33 @@ def pole_sign_count(R: RationalFunction,
 def _real_nonpositive_u_roots(f: Polynomial) -> bool:
     """Do all roots of f (a polynomial in u) lie in (-inf, 0]?
 
-    Roots at the origin are stripped first; they are fine.  Via the
-    logarithmic derivative: f'/f is a sum of m_i/(u - lambda_i) over the
-    r distinct roots, so all roots are real iff the first Hankel family
-    of its series is positive through r.  A real-rooted f has exactly as
-    many positive roots as its coefficients have sign changes (Descartes'
-    rule is exact there), so then no sign change means no positive root.
+    Roots at the origin are stripped first; they are fine.  Then, with f's
+    leading coefficient made positive, by Hermite-Biehler: f'/f = num/den
+    reduced is the sum of m_i/(u - lambda_i) over the r distinct roots, and
+    h(z) = den(z^2) + z num(z^2) is Hurwitz stable iff its halves have
+    simple negative interlacing roots with den's largest, which holds iff
+    every lambda_i is real and negative.  g = f(z^2) + z f'(z^2) is
+    d(z^2) h(z) with d = gcd(f, f') of positive leading coefficient, so
+    Delta_k(g) = lc(d)^k Delta_k(h) for k <= 2r and g's Routh array meets
+    its first whole zero row at row 2r + 1 (or completes, for d = 1) when
+    no entry stalls.  Hence: no stall and every first entry before that
+    row positive.
     """
-    if f.degree == 0:
+    cs = f.coeffs
+    end = len(cs)
+    while cs[end - 1] == 0:
+        end -= 1
+    m = end - 1
+    if m == 0:
         return True
-    u = Polynomial([1, 0])
-    while f.power_coeff(0) == 0:
-        f = f // u
-    if f.degree == 0:
-        return True
-    G = RationalFunction(f.derivative(), f).reduced()
-    r = G.den.degree
-    s = laurent_expand(G, r).s
-    hankel = [[s[i + k] for k in range(r)] for i in range(r)]
-    if any(d <= 0 for d in leading_principal_minors(hankel)):
-        return False
-    return strong_sign_changes(f.coeffs) == 0
+    sign = 1 if cs[0] > 0 else -1
+    g = []
+    for i in range(m):
+        c = sign * cs[i]
+        g += [c, (m - i) * c]
+    g.append(sign * cs[m])
+    delta, _, stalled = _routh(g)
+    return not stalled and all(d > 0 for d in delta)
 
 
 class _EvenSplit(NamedTuple):
@@ -197,22 +209,25 @@ class _EvenSplit(NamedTuple):
     q: Polynomial
 
 
-def _even_split(p: Polynomial, delta: Tuple[Fraction, ...]) -> _EvenSplit:
-    """The even-factor split of p (degree >= 2), given its minor chain.
+def _even_split(p: Polynomial, hm: HurwitzMinors) -> _EvenSplit:
+    """The even-factor split of p (degree >= 2), given its Hurwitz minors.
 
-    Orlando's formula, Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1}
-    prod_{i<j} (z_i + z_j), makes Delta_{n-1} vanish exactly when two
-    zeros sum to zero, which is when p0 and p1 share a root.  So a nonzero
-    Delta_{n-1} gives f = 1 and q = p with no Euclid.  Otherwise f comes
-    from the gcd.  q is not swept (see `_quasi_stable_check`).
+    f is the `halves_gcd` p's Routh array read off.  Only when an entry of
+    the array stalled does f take a Euclid, and not even then when
+    Delta_{n-1} != 0: Orlando's formula, Delta_{n-1} = (-1)^{n(n-1)/2}
+    a_0^{n-1} prod_{i<j} (z_i + z_j), makes Delta_{n-1} vanish exactly
+    when two zeros sum to zero, which is when p0 and p1 share a root.
+    q is not swept (see `_quasi_stable_check`).
     """
-    if delta[p.degree - 2] != 0:
-        return _EvenSplit(Polynomial([1]), p)
-    halves = even_odd_split(p)
-    if halves.p0.is_zero() or halves.p1.is_zero():
-        f = (halves.p1 if halves.p0.is_zero() else halves.p0).monic()
-    else:
-        f = poly_gcd(halves.p0, halves.p1)
+    f = hm.halves_gcd
+    if f is None:
+        if hm.delta[p.degree - 2] != 0:
+            f = Polynomial([1])
+        else:
+            halves = even_odd_split(p)
+            f = poly_gcd(halves.p0, halves.p1)
+    if f.degree == 0:
+        return _EvenSplit(f, p)
     return _EvenSplit(f, p // compose_even(f))
 
 
@@ -363,7 +378,8 @@ def classify(p: Union[Polynomial, Sequence], *,
                                     certificates=cert)
 
     if _reflected is None:
-        delta, split = hurwitz_minors(p).delta, None
+        hm = hurwitz_minors(p)
+        delta, split = hm.delta, None
     else:
         delta, split = _reflected
     cert["delta"] = list(delta)
@@ -408,7 +424,8 @@ def classify(p: Union[Polynomial, Sequence], *,
                                         certificates=cert)
 
     if split is None:
-        split = _even_split(p, delta)
+        # only a top-level call gets here: the reflected one receives a split
+        split = _even_split(p, hm)
     ok, m, qcert = _quasi_stable_check(split, delta)
     if ok:
         cert["quasi_certificate"] = qcert

@@ -12,6 +12,7 @@ Coefficients are comma-separated exact rationals ("1,4,1,-6" or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -251,7 +252,10 @@ def _cmd_matrix(args) -> dict:
 # ---------------------------------------------------------------------------
 # parser plumbing
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main`
+    call (parsing leaves it unchanged)."""
     top = argparse.ArgumentParser(
         prog="genhurwitz",
         description="Zero-location taxonomy of real polynomials, exactly.")

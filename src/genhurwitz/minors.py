@@ -2,8 +2,10 @@
 
 Exact determinants (fraction-free Bareiss over the integers), the Hankel
 minor families D_j and Dhat_j of a series at infinity, Hurwitz minors of a
-polynomial, the interleaved minors of a polynomial pair, Frobenius-rule
-sign change counting, and brute-force total nonnegativity scans.
+polynomial (a fraction-free Routh array, with Bareiss only where an entry
+of the array stalls), the interleaved minors of a polynomial pair,
+Frobenius-rule sign change counting, and brute-force total nonnegativity
+scans.
 
 No floats here either; every sign that leaves this module is exact.
 """
@@ -232,12 +234,62 @@ def infinite_hurwitz_block(p: Polynomial, size: int) -> List[List[Fraction]]:
     return [a[size - t:3 * size - t:2] for t in range(size)]
 
 
+def _routh(coeffs: Sequence[Fraction]):
+    """Fraction-free Routh array of a polynomial's coefficients a_0..a_n.
+
+    With L the lcm of the denominators, the rows start at
+    F_0 = L (a_0, a_2, ...) and F_1 = L (a_1, a_3, ...) and continue by
+
+        F_{k+1}[j] = (F_k[0] F_{k-1}[j+1] - F_{k-1}[0] F_k[j+1]) / F_{k-2}[0]
+
+    (divisor 1 for F_2 and F_3; a missing F_k[j+1] is 0).  While
+    F_1[0]..F_k[0] are nonzero, F_{k+1}[j] is a Hurwitz minor of the
+    scaled polynomial, so every division is exact and F_k[0] = L^k Delta_k.
+    Row k holds the coefficients of the k-th remainder of the Euclid on the
+    halves, of degree n - k in z.
+
+    Returns (delta, aux, stalled): the minors Delta_1, Delta_2, ... read
+    off the first entries up to the first whole zero row or stall; the
+    integer row above the first whole zero row, or None; and whether a
+    zero first entry in a nonzero row stopped the array.
+    """
+    scale = 1
+    for c in coeffs:
+        d = c.denominator
+        scale = scale * d // gcd(scale, d)
+    a = [c.numerator * (scale // c.denominator) for c in coeffs]
+    above, row = a[0::2], a[1::2]
+    leads: List[int] = []
+    delta: List[Fraction] = []
+    power = 1
+    for k in range(1, len(a)):
+        if not any(row):
+            return delta, above, False
+        lead = row[0]
+        if lead == 0:
+            return delta, None, True
+        leads.append(lead)
+        power *= scale
+        delta.append(Fraction(lead, power))
+        div = leads[k - 3] if k >= 3 else 1
+        top = above[0]
+        padded = row + [0]
+        above, row = row, [(lead * above[j + 1] - top * padded[j + 1]) // div
+                           for j in range(len(above) - 1)]
+    return delta, None, False
+
+
 @dataclass(frozen=True)
 class HurwitzMinors:
-    """delta = (Delta_1..Delta_n), eta = (eta_1..eta_{n+1})."""
+    """delta = (Delta_1..Delta_n), eta = (eta_1..eta_{n+1}).
+
+    `halves_gcd` is the monic gcd(p0, p1) of the split halves when the
+    Routh array gave the chain, and None when Bareiss did.
+    """
     delta: Tuple[Fraction, ...]
     eta: Tuple[Fraction, ...]
     n: int
+    halves_gcd: Optional[Polynomial] = None
 
     def d(self, j: int) -> Fraction:
         """Delta_j with the conventions Delta_0 = 1 and Delta_{-1} = 1/a_0
@@ -248,23 +300,48 @@ class HurwitzMinors:
 
 
 def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
-    """Leading principal minors of both Hurwitz layouts, from one sweep.
+    """Leading principal minors of both Hurwitz layouts, from one Routh array.
 
-    Delta comes from the finite matrix.  The (n+1)-square block of the
-    infinite layout is the finite matrix bordered by a first column
-    (a_0, 0, ..., 0), so eta_j = a_0 * Delta_{j-1} with Delta_0 = 1, and
-    eta is built from that formula.
+    Delta_k is the first entry of row k of the fraction-free Routh array
+    (see `_routh`), divided by L^k.  Two rows end the array early:
+
+    - A whole zero row F_{k+1}: then row k is the last remainder, the
+      gcd z^e f(z^2) of the halves as polynomials in z, where
+      f = gcd(p0, p1) and e = 1 exactly when q = p / f(z^2) vanishes at 0.
+      Its entries are f's coefficients, so `halves_gcd` is f made monic
+      (and 1 when the array completes).  The rest of the chain is 0:
+      deg q = k + e, H(p) = H(q) U_f with U_f the upper triangular
+      Toeplitz matrix of f, so Delta_j(p) = lc(f)^j Delta_j(q), and the
+      last column of H(q)'s j-block holds a_j(q)..a_{2j-1}(q), all 0 for
+      j > deg q; Delta_{k+1} = F_{k+1}[0] = 0 covers e = 1.
+    - A zero first entry in a nonzero row (an entry stall): past it the
+      rows are no longer Hurwitz minors (the Fraction form of the step
+      divides by that entry), so the whole chain comes from the Bareiss
+      sweep of the finite matrix instead, and `halves_gcd` is None.
+
+    The (n+1)-square block of the infinite layout is the finite matrix
+    bordered by a first column (a_0, 0, ..., 0), so eta_j = a_0 *
+    Delta_{j-1} with Delta_0 = 1, and eta is built from that formula.
 
     Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1} prod_{i<j} (z_i + z_j)
     (Orlando's formula) vanishes exactly when the even and odd halves
-    share a factor; `classify` reads it to skip the gcd of the halves.
+    share a factor; `classify` reads it to skip the gcd of the halves
+    when the array stalled.
     """
     if p.is_zero():
         raise InvalidInputError("Hurwitz minors of the zero polynomial")
     n = p.degree
-    delta = tuple(leading_principal_minors(finite_hurwitz_matrix(p))) if n else ()
+    found, aux, stalled = _routh(p.coeffs)
+    if stalled:
+        delta = tuple(leading_principal_minors(finite_hurwitz_matrix(p)))
+        halves_gcd = None
+    else:
+        delta = tuple(found) + (_ZERO,) * (n - len(found))
+        halves_gcd = (Polynomial([1]) if aux is None
+                      else Polynomial(aux).monic())
     a0 = p.coeffs[0]
-    return HurwitzMinors(delta, tuple([a0] + [a0 * d for d in delta]), n)
+    return HurwitzMinors(delta, tuple([a0] + [a0 * d for d in delta]), n,
+                         halves_gcd)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ from genhurwitz.polyalg import (
     reflect,
     times_z,
 )
-from genhurwitz.minors import hankel_minors, hurwitz_minors
+from genhurwitz.minors import (
+    hankel_minors,
+    hurwitz_minors,
+    leading_principal_minors,
+    strong_sign_changes,
+)
 from genhurwitz.oracle import StructureSpec, generate_instance
 from genhurwitz.classify import (
     LABELS,
@@ -396,27 +401,56 @@ def _two_family_verdict(f):
         (dh if j % 2 == 0 else -dh) > 0 for j, dh in enumerate(mn.Dhat, 1))
 
 
+def _hankel_descartes_verdict(f):
+    """The root check before the Routh kernel: f'/f reduced, its first
+    Hankel family positive through the distinct-root count, then no
+    coefficient sign change (Descartes' rule is exact for real roots)."""
+    if f.degree == 0:
+        return True
+    while f.power_coeff(0) == 0:
+        f = f // P(1, 0)
+    if f.degree == 0:
+        return True
+    G = RationalFunction(f.derivative(), f).reduced()
+    r = G.den.degree
+    s = laurent_expand(G, r).s
+    hankel = [[s[i + k] for k in range(r)] for i in range(r)]
+    if any(d <= 0 for d in leading_principal_minors(hankel)):
+        return False
+    return strong_sign_changes(f.coeffs) == 0
+
+
 class TestEvenFactorRoots:
     def test_matches_construction_and_two_family_route(self):
         # products of (u + a), origin and repeated roots included, and
-        # of quadratics with a complex pair
+        # of quadratics with a complex pair, under leading coefficients of
+        # either sign, integer or not
         rng = random.Random(31)
-        verdicts = set()
-        for _ in range(400):
-            f, truth = P(rng.choice([1, 2])), True
+        seen = set()
+        for _ in range(600):
+            f, truth = P(rng.choice([1, 2, F(1, 3), -1, F(-5, 2)])), True
+            shapes = set()
             for _ in range(rng.randint(1, 4)):
                 if rng.random() < 0.2:
                     b = rng.randint(-2, 2)
                     f = f * P(1, b, b * b + rng.randint(1, 3))
                     truth = False
+                    shapes.add("complex pair")
                 else:
                     a = rng.randint(-2, 3)
                     f = f * P(1, a)
                     truth = truth and a >= 0
+                    shapes.add("origin" if a == 0 else
+                               "positive" if a < 0 else "negative")
+            if poly_gcd(f, f.derivative()).degree > 0:
+                shapes.add("repeated")
             assert _real_nonpositive_u_roots(f) == truth, f
+            assert _hankel_descartes_verdict(f) == truth, f
             assert _two_family_verdict(f) == truth, f
-            verdicts.add(truth)
-        assert verdicts == {True, False}
+            seen.update((shape, truth) for shape in shapes)
+        assert seen >= {("origin", True), ("negative", True),
+                        ("repeated", True), ("positive", False),
+                        ("complex pair", False), ("repeated", False)}
 
 
 def _direct_split(p):
@@ -450,7 +484,7 @@ class TestDerivedSplits:
     def test_match_the_direct_route_on_both_images(self):
         seen = set()
         for p in _split_inputs():
-            split = _even_split(p, hurwitz_minors(p).delta)
+            split = _even_split(p, hurwitz_minors(p))
             rp = reflect(p)
             rp = -rp if rp.coeffs[0] < 0 else rp
             reflected = _reflected_split(split)
@@ -491,6 +525,37 @@ class TestDerivedSplits:
                                            "reflected_label") if key in cert)
         assert reached == {"quasi_certificate", "dual_quasi_certificate",
                            "reflected_label"}
+
+    def test_zero_row_inputs_take_no_euclid_series_or_sweep(self,
+                                                            monkeypatch):
+        # p's Routh array gives the even factor, and the root check on it
+        # is a second Routh array, so past a whole zero row (or a complete
+        # array) no image takes a gcd, a Laurent series, a Hankel table or
+        # a Bareiss sweep
+        def refuse(*args):
+            raise AssertionError("a second kernel ran")
+        arrays = [hurwitz_minors(p) for p in _split_inputs()]
+        for module, name in (("classify", "poly_gcd"),
+                             ("polyalg", "poly_gcd"),
+                             ("classify", "laurent_expand"),
+                             ("classify", "hankel_minors"),
+                             ("minors", "leading_principal_minors")):
+            monkeypatch.setattr(sys.modules[f"genhurwitz.{module}"], name,
+                                refuse)
+        reached = set()
+        for p, hm in zip(_split_inputs(), arrays):
+            if hm.halves_gcd is None:
+                continue
+            cert = classify(p).certificates
+            reached.update(key for key in ("quasi_certificate",
+                                           "dual_quasi_certificate",
+                                           "reflected_label") if key in cert)
+            quasi = cert.get("quasi_certificate")
+            if quasi is not None and quasi["even_factor_u"].degree > 0:
+                reached.add("root check on a shared even factor")
+        assert reached == {"quasi_certificate", "dual_quasi_certificate",
+                           "reflected_label",
+                           "root check on a shared even factor"}
 
     def test_no_euclid_when_delta_n_minus_1_is_nonzero(self, monkeypatch):
         # by Orlando's formula the halves are then coprime, so no image of

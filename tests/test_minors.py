@@ -10,13 +10,18 @@ from genhurwitz.polyalg import (
     Polynomial,
     RationalFunction,
     associated_function,
+    compose_even,
+    even_odd_split,
     laurent_expand,
+    poly_gcd,
+    times_z,
 )
 from genhurwitz.minors import (
     InvalidInputError,
     InvalidPairError,
     InvalidSequenceError,
     SeriesLengthError,
+    _routh,
     exact_det,
     finite_hurwitz_matrix,
     hankel_character_test,
@@ -184,6 +189,48 @@ class TestHurwitzMinors:
     def test_zero_polynomial_refused(self):
         with pytest.raises(InvalidInputError):
             hurwitz_minors(Polynomial([]))
+
+    def test_routh_array_matches_bareiss_and_euclid(self):
+        """The Routh chain against the Bareiss sweep of the finite matrix,
+        and its even factor against the Euclid on the halves, over every
+        way the array can end."""
+        rng = random.Random(66)
+        polys = [P(1, 0, 3, 0, 2), P(2, 0, 3), P(1, 0, -4, 0),  # a half is 0
+                 P(1, 1, 1, 1), P(1, 0, 0, 1),                # stalls
+                 P(F(1, 2), F(-2, 3), 3, F(5, 7)), P(7), P(3, 0)]
+        for _ in range(600):
+            polys.append(Polynomial([rng.choice([-2, -1, 1, 2])] + [
+                rng.randint(-2, 2) for _ in range(rng.randint(1, 8))]))
+            f = Polynomial([rng.choice([-2, 1, F(1, 2)])] + [
+                rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+            g = Polynomial([rng.choice([-1, 1, 3])] + [
+                F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                for _ in range(rng.randint(0, 5))])
+            p = compose_even(f) * g
+            polys.append(times_z(p) if rng.random() < 0.4 else p)
+        ends = set()
+        for p in polys:
+            hm = hurwitz_minors(p)
+            bareiss = leading_principal_minors(finite_hurwitz_matrix(p))
+            assert hm.delta == tuple(bareiss), p
+            found, aux, stalled = _routh(p.coeffs)
+            assert hm.delta[:len(found)] == tuple(found), p
+            if stalled:
+                assert hm.halves_gcd is None and aux is None, p
+                ends.add("entry stall")
+                continue
+            halves = even_odd_split(p)
+            assert hm.halves_gcd == poly_gcd(halves.p0, halves.p1), p
+            assert all(d == 0 for d in hm.delta[len(found):]), p
+            if aux is None:
+                ends.add("complete")
+            else:
+                ends.add("zero row times z" if p.power_coeff(0) == 0
+                         else "zero row")
+            if any(c.denominator > 1 for c in p.coeffs):
+                ends.add("rational")
+        assert ends == {"complete", "zero row", "zero row times z",
+                        "entry stall", "rational"}
 
 
 class TestNablaMinors:

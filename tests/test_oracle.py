@@ -1,17 +1,20 @@
 """Floating point cross-checks: root finder, generators, experiments."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from genhurwitz.polyalg import InvalidInputError, Polynomial, RationalFunction
-from genhurwitz.classify import classify, dual_transform
+from genhurwitz.classify import LABELS, classify, dual_transform
+from genhurwitz.minors import hurwitz_minors
 from genhurwitz.oracle import (
     BAND_TOL,
     SNAP_TOL,
     IndeterminateVerdict,
     NumericPartialFraction,
+    OracleFailureError,
     RootSet,
     StructureSpec,
     UnrealizableSpecError,
@@ -89,6 +92,39 @@ class TestClassifyByRoots:
             assert exact.label == numeric.label, cs
             assert exact.order_k == numeric.order_k, cs
             assert exact.si_type == numeric.si_type, cs
+
+
+class TestDifferentialCorpus:
+    def test_exact_verdicts_match_the_root_oracle(self):
+        """Exact classify against the float root oracle on distinct random
+        small-integer polynomials of degree 1-7: zero disagreements, the
+        oracle's abstentions counted and skipped."""
+        rng = random.Random(20261018)
+        corpus = set()
+        while len(corpus) < 2400:
+            corpus.add((rng.choice([-3, -2, -1, 1, 2, 3]),)
+                       + tuple(rng.randint(-3, 3)
+                               for _ in range(rng.randint(1, 7))))
+        abstained, labels, ends = 0, set(), set()
+        for cs in sorted(corpus):
+            p = Polynomial(cs)
+            exact = classify(p)
+            try:
+                numeric = classify_by_roots(numeric_roots(p))
+            except (IndeterminateVerdict, OracleFailureError):
+                abstained += 1
+                continue
+            assert (exact.label, exact.order_k, exact.degeneracy_m,
+                    exact.si_type) == (numeric.label, numeric.order_k,
+                                       numeric.degeneracy_m,
+                                       numeric.si_type), cs
+            labels.add(exact.label)
+            f = hurwitz_minors(p).halves_gcd
+            ends.add("entry stall" if f is None else
+                     "shared even factor" if f.degree > 0 else "coprime")
+        assert abstained < 20
+        assert labels == set(LABELS)
+        assert ends == {"entry stall", "shared even factor", "coprime"}
 
 
 class TestGenerateInstance:

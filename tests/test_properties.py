@@ -22,6 +22,7 @@ from genhurwitz.polyalg import (
 )
 from genhurwitz.minors import (
     exact_det,
+    finite_hurwitz_matrix,
     hankel_minors,
     hurwitz_minors,
     infinite_hurwitz_block,
@@ -261,6 +262,27 @@ class TestMinorInvariants:
         coprime = shared.degree() == 0
         assert (poly_gcd(split.p0, split.p1).degree == 0) == coprime
         assert (hurwitz_minors(p).delta[p.degree - 2] != 0) == coprime
+
+    @given(st.one_of(polynomials(), small_integer_polynomials(),
+                     even_factor_products(),
+                     even_factor_products().map(times_z)))
+    @example(Polynomial([1, 0, 3, 0, 2]))     # odd half vanishes
+    @example(Polynomial([1, 0, -4, 0]))       # even half vanishes
+    @example(Polynomial([1, 1, 1, 1]))        # Delta_2 = 0 in a nonzero row
+    @example(Polynomial([F(1, 2), 0, F(3, 4), F(1, 3), 0]))
+    def test_routh_chain_and_even_factor(self, p):
+        """hurwitz_minors' Routh array against the Bareiss sweep of the
+        finite matrix, and the even factor it reads off a whole zero row
+        against sympy's gcd of the halves."""
+        hm = hurwitz_minors(p)
+        assert hm.delta == tuple(
+            leading_principal_minors(finite_hurwitz_matrix(p)))
+        if hm.halves_gcd is not None:
+            split = even_odd_split(p)
+            u = sympy.Symbol("u")
+            shared = sympy.gcd(_sympy_poly(split.p0, u),
+                               _sympy_poly(split.p1, u))
+            assert _sympy_poly(hm.halves_gcd, u) == shared.monic()
 
     @given(even_factors(), small_integer_polynomials(max_degree=6))
     @example(Polynomial([1, 1]), Polynomial([1, 0, 1]))    # axis pairs in both
