@@ -15,17 +15,20 @@ The taxonomy, decided purely from determinant signs:
                               left half plane
     unclassified              none of the above
 
-The decision tree runs on the Hurwitz minor chain: a gate of odd-position
-minors, then a Frobenius-rule sign change count for the order k, with the
-failure branches handled by an even-factor decomposition, the duality
-transform, and one reflection z -> -z.
+The decision tree (`_decide`) runs on four facts: the degree, whether
+the constant term is zero, the Hurwitz minor chain and the even-factor
+split p = f(z^2) q.  It tries a gate of odd-position minors, then a
+Frobenius-rule sign change count for the order k; the failure branches
+use the split and the duality transform.  Only when that gives no
+verdict does `classify` run it once more, for the reflection z -> -z.
 
 Each classification runs p's fraction-free Routh array once
-(`hurwitz_minors`), which gives the chain and, unless an entry of the
-array stalls, the even factor f = gcd(p0, p1) from the row above its
-first whole zero row; p = f(z^2) q is split at most once.  The dual and
-reflected images take their minor chains from p's by fixed sign laws and
-their splits from p's split.  No cofactor takes a second sweep:
+(`hurwitz_minors`), which gives the chain and the even factor
+f = gcd(p0, p1); p is split once.  The dual and reflected images take
+their minor chains from p's by fixed sign laws, the dual its split from
+p's split, and the reflection p's split itself: reflect(p) =
+f(z^2) reflect(q), and the tree reads only f, deg q and whether q(0) = 0,
+all three unchanged.  No cofactor takes a second sweep:
 a_j(p) = sum_i f_i a_{j-2i}(q) gives H(p) = H(q) U_f, with U_f the upper
 triangular Toeplitz matrix of f's coefficients, so
 Delta_k(f(z^2) q) = lc(f)^k Delta_k(q) for k <= deg q, and for the monic
@@ -37,7 +40,7 @@ even factor (see `_real_nonpositive_u_roots`).  Nothing is memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -48,13 +51,10 @@ from .polyalg import (
     compose_even,
     even_odd_split,
     laurent_expand,
-    poly_gcd,
-    reflect,
     times_z,
 )
 from .minors import (
     HurwitzMinors,
-    InvalidSequenceError,
     _routh,
     hankel_minors,
     hurwitz_minors,
@@ -210,22 +210,11 @@ class _EvenSplit(NamedTuple):
 
 
 def _even_split(p: Polynomial, hm: HurwitzMinors) -> _EvenSplit:
-    """The even-factor split of p (degree >= 2), given its Hurwitz minors.
+    """The even-factor split of p, given its Hurwitz minors.
 
-    f is the `halves_gcd` p's Routh array read off.  Only when an entry of
-    the array stalled does f take a Euclid, and not even then when
-    Delta_{n-1} != 0: Orlando's formula, Delta_{n-1} = (-1)^{n(n-1)/2}
-    a_0^{n-1} prod_{i<j} (z_i + z_j), makes Delta_{n-1} vanish exactly
-    when two zeros sum to zero, which is when p0 and p1 share a root.
-    q is not swept (see `_quasi_stable_check`).
+    f is `hm.halves_gcd`; q is not swept (see `_quasi_stable_check`).
     """
     f = hm.halves_gcd
-    if f is None:
-        if hm.delta[p.degree - 2] != 0:
-            f = Polynomial([1])
-        else:
-            halves = even_odd_split(p)
-            f = poly_gcd(halves.p0, halves.p1)
     if f.degree == 0:
         return _EvenSplit(f, p)
     return _EvenSplit(f, p // compose_even(f))
@@ -241,7 +230,7 @@ def _quasi_stable_check(split: _EvenSplit, delta: Tuple[Fraction, ...]):
     through deg q (see the module docstring) and that of q/z one entry
     shorter, so no cofactor is swept; nor is the root check memoized.
 
-    Returns (ok, m, certificate).
+    Returns (m, certificate), or None when p is not quasi-stable.
     """
     f, q = split
     m = 2 * f.degree
@@ -251,13 +240,10 @@ def _quasi_stable_check(split: _EvenSplit, delta: Tuple[Fraction, ...]):
         stripped -= 1
         m += 1
         cert["cofactor_origin_zero"] = True
-    if not all(d > 0 for d in delta[:stripped]):
-        cert["reason"] = "cofactor is not stable"
-        return False, None, cert
-    if not _real_nonpositive_u_roots(f):
-        cert["reason"] = "even factor has roots off the nonpositive ray"
-        return False, None, cert
-    return True, m, cert
+    if not (all(d > 0 for d in delta[:stripped])
+            and _real_nonpositive_u_roots(f)):
+        return None
+    return m, cert
 
 
 def _dual_sign(j: int, n: int) -> int:
@@ -321,36 +307,74 @@ def _dual_split(split: _EvenSplit) -> _EvenSplit:
     return _EvenSplit(f, dual_transform(split.q))
 
 
-def _reflected_split(split: _EvenSplit) -> _EvenSplit:
-    """The split of the sign-normalized reflect(p) from that of p.
-
-    reflect(p) = f(z^2) reflect(q), and p and q have degrees of one
-    parity, so one sign normalizes both.
-    """
-    q = reflect(split.q)
-    if q.coeffs[0] < 0:
-        q = -q
-    return _EvenSplit(split.f, q)
-
-
 # ---------------------------------------------------------------------------
 # the classifier
 
-def classify(p: Union[Polynomial, Sequence], *,
-             _reflected: Optional[Tuple] = None) -> ClassificationReport:
+def _decide(n: int, const_zero: bool, delta: Tuple[Fraction, ...],
+            split: _EvenSplit) -> ClassificationReport:
+    """The decision tree on a degree-n (n >= 2) polynomial, given whether
+    its constant term is zero, its minor chain and its even-factor split.
+
+    Labelled `unclassified` when no criterion matches; the reflection is
+    the caller's.  Under the gate the order sequence never starts with 0:
+    Delta_n = a_n Delta_{n-1} with Delta_{n-1} > 0, and when a_n = 0,
+    Delta_{n-1} = a_{n-1} Delta_{n-2}, so `scf_frobenius` has its anchor.
+    """
+    cert: Dict = {"delta": list(delta)}
+    gate_idx = list(range(n - 1, 0, -2))
+    gate = all(delta[i - 1] > 0 for i in gate_idx)
+    cert["gate_indices"] = gate_idx
+    cert["gate_passed"] = gate
+
+    if gate:
+        top = n - 2 if const_zero else n
+        seq = [delta[i - 1] for i in range(top, 0, -2)] + [Fraction(1)]
+        k = scf_frobenius(seq) + (1 if const_zero else 0)
+        cert["scf_sequence"] = seq
+        cert["order"] = k
+        cert["constant_term_zero"] = const_zero
+        if k == 0:
+            return ClassificationReport(LABEL_STABLE, order_k=0,
+                                        certificates=cert)
+        if const_zero and k == 1:
+            # z times a stable polynomial: the whole minor chain below the
+            # top is positive
+            return ClassificationReport(LABEL_QUASI, degeneracy_m=1,
+                                        certificates=cert)
+        if k == (n + 1) // 2:
+            return ClassificationReport(
+                LABEL_ALMOST_SI if const_zero else LABEL_SI, order_k=k,
+                si_type="I", certificates=cert)
+        return ClassificationReport(LABEL_GH, order_k=k, si_type="I",
+                                    certificates=cert)
+
+    quasi = _quasi_stable_check(split, delta)
+    if quasi is not None:
+        cert["quasi_certificate"] = quasi[1]
+        return ClassificationReport(LABEL_QUASI, degeneracy_m=quasi[0],
+                                    certificates=cert)
+    quasi = _quasi_stable_check(_dual_split(split), _dual_delta(delta, n))
+    if quasi is not None and quasi[0] >= 2:
+        # m = 1 cannot reach this branch (that shape passes the gate);
+        # the bound keeps the label disjoint from almost-self-interlacing
+        cert["dual_quasi_certificate"] = quasi[1]
+        return ClassificationReport(LABEL_QUASI_SI, degeneracy_m=quasi[0],
+                                    si_type="I", certificates=cert)
+    return ClassificationReport(LABEL_NONE, certificates=cert)
+
+
+def classify(p: Union[Polynomial, Sequence]) -> ClassificationReport:
     """Classify a real polynomial by zero location, exactly.
 
     The zero polynomial is refused; constants are unclassified.  The
     leading coefficient is normalized positive first (recorded in the
     certificates), which never moves a zero.
 
-    One Hurwitz minor sweep and at most one even-factor split serve the
-    whole tree: the dual and the reflected images get their minors from
-    p's by fixed sign tables and their splits from p's split, and every
-    cofactor's minors are a prefix of its image's chain, so no cofactor
-    is swept.  The reflected call receives (chain, split) of its
-    sign-normalized input through the private keyword, which also stops
-    it reflecting again.
+    One Hurwitz minor sweep and one even-factor split serve the whole
+    tree.  `_decide` runs on p's chain; only if it gives no verdict does
+    it run again on the reflected chain with p's split, and a type I
+    verdict there is p's type II one.  Of that second run the report keeps
+    the label only (`reflected_label`).
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
@@ -377,84 +401,27 @@ def classify(p: Union[Polynomial, Sequence], *,
         return ClassificationReport(LABEL_SI, order_k=1, si_type="I",
                                     certificates=cert)
 
-    if _reflected is None:
-        hm = hurwitz_minors(p)
-        delta, split = hm.delta, None
-    else:
-        delta, split = _reflected
-    cert["delta"] = list(delta)
-    gate_idx = list(range(n - 1, 0, -2))
-    gate = all(delta[i - 1] > 0 for i in gate_idx)
-    cert["gate_indices"] = gate_idx
-    cert["gate_passed"] = gate
-    kmax = (n + 1) // 2
-
-    if gate:
-        const_zero = (p.power_coeff(0) == 0)
-        if const_zero:
-            seq = [delta[i - 1] for i in range(n - 2, 0, -2)] + [Fraction(1)]
-        else:
-            seq = [delta[i - 1] for i in range(n, 0, -2)] + [Fraction(1)]
-        k = None
-        try:
-            k = scf_frobenius(seq) + (1 if const_zero else 0)
-        except InvalidSequenceError:
-            # unreachable under the gate by the pole-at-zero bridge, but
-            # fall through to the non-gate branches rather than crash
-            cert["scf_aborted"] = True
-        if k is not None:
-            cert["scf_sequence"] = seq
-            cert["order"] = k
-            cert["constant_term_zero"] = const_zero
-            if k == 0:
-                return ClassificationReport(LABEL_STABLE, order_k=0,
-                                            certificates=cert)
-            if const_zero and k == 1:
-                # z times a stable polynomial: the whole minor chain
-                # below the top is positive
-                return ClassificationReport(LABEL_QUASI, degeneracy_m=1,
-                                            certificates=cert)
-            if k == kmax and not const_zero:
-                return ClassificationReport(LABEL_SI, order_k=k, si_type="I",
-                                            certificates=cert)
-            if k == kmax and const_zero:
-                return ClassificationReport(LABEL_ALMOST_SI, order_k=k,
-                                            si_type="I", certificates=cert)
-            return ClassificationReport(LABEL_GH, order_k=k, si_type="I",
-                                        certificates=cert)
-
-    if split is None:
-        # only a top-level call gets here: the reflected one receives a split
-        split = _even_split(p, hm)
-    ok, m, qcert = _quasi_stable_check(split, delta)
-    if ok:
-        cert["quasi_certificate"] = qcert
-        return ClassificationReport(LABEL_QUASI, degeneracy_m=m,
-                                    certificates=cert)
-    ok, m, qcert = _quasi_stable_check(_dual_split(split),
-                                       _dual_delta(delta, n))
-    if ok and m >= 2:
-        # m = 1 cannot reach this branch (that shape passes the gate);
-        # the bound keeps the label disjoint from almost-self-interlacing
+    hm = hurwitz_minors(p)
+    split = _even_split(p, hm)
+    const_zero = p.power_coeff(0) == 0
+    report = _decide(n, const_zero, hm.delta, split)
+    cert.update(report.certificates)
+    if report.label == LABEL_QUASI_SI:
         cert["dual_image"] = dual_transform(p)
-        cert["dual_quasi_certificate"] = qcert
-        return ClassificationReport(LABEL_QUASI_SI, degeneracy_m=m,
-                                    si_type="I", certificates=cert)
+    if report.label != LABEL_NONE:
+        return replace(report, certificates=cert)
 
-    if _reflected is None:
-        inner = classify(reflect(p), _reflected=(
-            _reflected_delta(delta), _reflected_split(split)))
-        cert["reflected_label"] = inner.label
-        if inner.si_type == "I":
-            return ClassificationReport(inner.label, order_k=inner.order_k,
-                                        degeneracy_m=inner.degeneracy_m,
-                                        si_type="II", certificates=cert)
-        if inner.label == LABEL_QUASI and inner.degeneracy_m == 1:
-            # z times an anti-stable polynomial: one closed-right zero
-            cert["order"] = 1
-            return ClassificationReport(LABEL_GH, order_k=1, si_type="II",
-                                        certificates=cert)
-
+    inner = _decide(n, const_zero, _reflected_delta(hm.delta), split)
+    cert["reflected_label"] = inner.label
+    if inner.si_type == "I":
+        return ClassificationReport(inner.label, order_k=inner.order_k,
+                                    degeneracy_m=inner.degeneracy_m,
+                                    si_type="II", certificates=cert)
+    if inner.label == LABEL_QUASI and inner.degeneracy_m == 1:
+        # z times an anti-stable polynomial: one closed-right zero
+        cert["order"] = 1
+        return ClassificationReport(LABEL_GH, order_k=1, si_type="II",
+                                    certificates=cert)
     cert["reason"] = "no criterion matched"
     return ClassificationReport(LABEL_NONE, certificates=cert)
 

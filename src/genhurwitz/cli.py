@@ -22,10 +22,8 @@ from .polyalg import (
     PolyError,
     Polynomial,
     associated_function,
-    format_polynomial,
     laurent_expand,
     parse_polynomial,
-    pole_count,
     _parse_token,
 )
 from .minors import hankel_minors, hurwitz_minors, total_nonnegativity_scan
@@ -69,7 +67,8 @@ def _cmd_minors(args) -> dict:
         "eta": [str(e) for e in hm.eta],
     }
     R = associated_function(p)
-    r = pole_count(R)
+    # the poles of p1/p0 after cancelling gcd(p0, p1)
+    r = R.den.degree - hm.halves_gcd.degree
     order = r if args.max_order is None else min(r, args.max_order)
     hk = hankel_minors(laurent_expand(R, order), order)
     out["hankel_d"] = [str(d) for d in hk.D]

@@ -23,6 +23,8 @@ from .polyalg import (
     LaurentSeries,
     Polynomial,
     _rat,
+    even_odd_split,
+    poly_gcd,
 )
 
 __all__ = [
@@ -283,17 +285,21 @@ def _routh(coeffs: Sequence[Fraction]):
 class HurwitzMinors:
     """delta = (Delta_1..Delta_n), eta = (eta_1..eta_{n+1}).
 
-    `halves_gcd` is the monic gcd(p0, p1) of the split halves when the
-    Routh array gave the chain, and None when Bareiss did.
+    `halves_gcd` is the monic gcd(p0, p1) of the split halves, set on
+    every input (see `hurwitz_minors`).
     """
     delta: Tuple[Fraction, ...]
     eta: Tuple[Fraction, ...]
     n: int
-    halves_gcd: Optional[Polynomial] = None
+    halves_gcd: Polynomial
 
     def d(self, j: int) -> Fraction:
-        """Delta_j with the conventions Delta_0 = 1 and Delta_{-1} = 1/a_0
-        (the latter needs the caller to scale; raw chain only here)."""
+        """Delta_j for -1 <= j <= n, with Delta_0 = 1 and
+        Delta_{-1} = 1/a_0; any other j raises IndexError."""
+        if not -1 <= j <= self.n:
+            raise IndexError(f"Delta_{j} is defined for -1..{self.n}")
+        if j == -1:
+            return 1 / self.eta[0]
         if j == 0:
             return Fraction(1)
         return self.delta[j - 1]
@@ -314,19 +320,19 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
       Toeplitz matrix of f, so Delta_j(p) = lc(f)^j Delta_j(q), and the
       last column of H(q)'s j-block holds a_j(q)..a_{2j-1}(q), all 0 for
       j > deg q; Delta_{k+1} = F_{k+1}[0] = 0 covers e = 1.
-    - A zero first entry in a nonzero row (an entry stall): past it the
-      rows are no longer Hurwitz minors (the Fraction form of the step
-      divides by that entry), so the whole chain comes from the Bareiss
-      sweep of the finite matrix instead, and `halves_gcd` is None.
+    - A zero first entry in a nonzero row (an entry stall, possible only
+      for n >= 3): past it the rows are no longer Hurwitz minors (the
+      Fraction form of the step divides by that entry), so the whole
+      chain comes from the Bareiss sweep of the finite matrix instead.
+      `halves_gcd` is then 1 when Delta_{n-1} != 0: by Orlando's formula,
+      Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1} prod_{i<j} (z_i + z_j)
+      vanishes exactly when two zeros sum to zero, which is when p0 and
+      p1 share a root.  Only otherwise does it take the Euclid on the
+      halves.
 
     The (n+1)-square block of the infinite layout is the finite matrix
     bordered by a first column (a_0, 0, ..., 0), so eta_j = a_0 *
     Delta_{j-1} with Delta_0 = 1, and eta is built from that formula.
-
-    Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1} prod_{i<j} (z_i + z_j)
-    (Orlando's formula) vanishes exactly when the even and odd halves
-    share a factor; `classify` reads it to skip the gcd of the halves
-    when the array stalled.
     """
     if p.is_zero():
         raise InvalidInputError("Hurwitz minors of the zero polynomial")
@@ -334,7 +340,11 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
     found, aux, stalled = _routh(p.coeffs)
     if stalled:
         delta = tuple(leading_principal_minors(finite_hurwitz_matrix(p)))
-        halves_gcd = None
+        if delta[n - 2] != 0:
+            halves_gcd = Polynomial([1])
+        else:
+            halves = even_odd_split(p)
+            halves_gcd = poly_gcd(halves.p0, halves.p1)
     else:
         delta = tuple(found) + (_ZERO,) * (n - len(found))
         halves_gcd = (Polynomial([1]) if aux is None

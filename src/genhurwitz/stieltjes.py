@@ -122,16 +122,8 @@ def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
     n = p.degree
     if n < 1:
         raise NoCFError("constant polynomial has no split quotient")
-    hm = hurwitz_minors(p)
+    delta = hurwitz_minors(p).d
     a0 = p.coeffs[0]
-
-    def delta(j: int) -> Fraction:
-        if j == -1:
-            return 1 / a0
-        if j == 0:
-            return Fraction(1)
-        return hm.delta[j - 1]
-
     l = n // 2
     zero_tail = (p.power_coeff(0) == 0)
     if n % 2 == 0:

@@ -1,5 +1,6 @@
 """Zero-location taxonomy, duality, and the criterion variants."""
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from genhurwitz.polyalg import (
     times_z,
 )
 from genhurwitz.minors import (
+    _routh,
     hankel_minors,
     hurwitz_minors,
     leading_principal_minors,
@@ -29,7 +31,6 @@ from genhurwitz.classify import (
     _dual_split,
     _even_split,
     _real_nonpositive_u_roots,
-    _reflected_split,
     classify,
     derivative_family,
     dual_transform,
@@ -485,19 +486,25 @@ class TestDerivedSplits:
         seen = set()
         for p in _split_inputs():
             split = _even_split(p, hurwitz_minors(p))
-            rp = reflect(p)
-            rp = -rp if rp.coeffs[0] < 0 else rp
-            reflected = _reflected_split(split)
             for image, derived in ((p, split),
-                                   (dual_transform(p), _dual_split(split)),
-                                   (rp, reflected),
-                                   (dual_transform(rp),
-                                    _dual_split(reflected))):
+                                   (dual_transform(p), _dual_split(split))):
                 assert tuple(derived) == _direct_split(image), image
                 # the cofactor's halves are coprime, so z^2 never divides
                 # it: at most a simple origin zero is left to strip
                 q = derived.q
                 assert q.power_coeff(0) != 0 or q.power_coeff(1) != 0, image
+            # the reflected run reuses p's split: the reflection's own
+            # split (and its dual's) differ from p's (and its dual's) only
+            # in facts the tree never reads
+            rp = reflect(p)
+            rp = -rp if rp.coeffs[0] < 0 else rp
+            for image, derived in ((rp, split),
+                                   (dual_transform(rp), _dual_split(split))):
+                f, q = _direct_split(image)
+                assert f == derived.f, image
+                assert q.degree == derived.q.degree, image
+                assert ((q.power_coeff(0) == 0)
+                        == (derived.q.power_coeff(0) == 0)), image
             origin = split.q.power_coeff(0) == 0
             seen.add((split.f.degree > 0, origin,
                       split.q.degree - origin == 0))
@@ -534,8 +541,8 @@ class TestDerivedSplits:
         # a Bareiss sweep
         def refuse(*args):
             raise AssertionError("a second kernel ran")
-        arrays = [hurwitz_minors(p) for p in _split_inputs()]
-        for module, name in (("classify", "poly_gcd"),
+        stalls = [_routh(p.coeffs)[2] for p in _split_inputs()]
+        for module, name in (("minors", "poly_gcd"),
                              ("polyalg", "poly_gcd"),
                              ("classify", "laurent_expand"),
                              ("classify", "hankel_minors"),
@@ -543,8 +550,8 @@ class TestDerivedSplits:
             monkeypatch.setattr(sys.modules[f"genhurwitz.{module}"], name,
                                 refuse)
         reached = set()
-        for p, hm in zip(_split_inputs(), arrays):
-            if hm.halves_gcd is None:
+        for p, stalled in zip(_split_inputs(), stalls):
+            if stalled:
                 continue
             cert = classify(p).certificates
             reached.update(key for key in ("quasi_certificate",
@@ -559,13 +566,53 @@ class TestDerivedSplits:
 
     def test_no_euclid_when_delta_n_minus_1_is_nonzero(self, monkeypatch):
         # by Orlando's formula the halves are then coprime, so no image of
-        # the classification needs a gcd
+        # the classification needs a gcd, stalled arrays included
         def refuse(a, b):
             raise AssertionError("Euclid ran on coprime halves")
-        monkeypatch.setattr(sys.modules["genhurwitz.classify"], "poly_gcd",
+        coprime = [p for p in _mixed_corpus() if p.degree >= 2
+                   and hurwitz_minors(p).delta[p.degree - 2] != 0]
+        monkeypatch.setattr(sys.modules["genhurwitz.minors"], "poly_gcd",
                             refuse)
-        reached = 0
-        for p in _mixed_corpus():
-            if p.degree >= 2 and hurwitz_minors(p).delta[p.degree - 2] != 0:
-                reached += "reflected_label" in classify(p).certificates
+        reached = stalled = 0
+        for p in coprime:
+            reached += "reflected_label" in classify(p).certificates
+            stalled += _routh(p.coeffs)[2]
         assert reached > 50
+        assert stalled > 0
+
+
+class TestOnePass:
+    def test_classify_takes_only_p(self):
+        assert list(inspect.signature(classify).parameters) == ["p"]
+
+    def test_no_classify_call_runs_inside_another(self, monkeypatch):
+        # a self-call would go through the module attribute, so the
+        # counter would see it
+        module = sys.modules["genhurwitz.classify"]
+        calls = []
+        original = module.classify
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, "classify", counting)
+        reflected = 0
+        for p in _mixed_corpus():
+            calls.clear()
+            reflected += "reflected_label" in module.classify(p).certificates
+            assert len(calls) == 1, p
+        assert reflected > 50
+
+    def test_order_sequence_never_starts_with_zero_under_the_gate(self):
+        # Delta_n = a_n Delta_{n-1} and, when a_n = 0,
+        # Delta_{n-1} = a_{n-1} Delta_{n-2}: the gate keeps the anchor
+        # of the Frobenius rule nonzero
+        shapes = set()
+        for p in list(_mixed_corpus()) + list(_split_inputs()):
+            cert = classify(p).certificates
+            if cert.get("gate_passed"):
+                assert cert["scf_sequence"][0] != 0, p
+                shapes.add((cert["constant_term_zero"],
+                            0 in cert["scf_sequence"]))
+        assert shapes == {(False, False), (True, False), (False, True),
+                          (True, True)}

@@ -3,12 +3,27 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from genhurwitz.cli import main
+from genhurwitz.minors import _routh
+from genhurwitz.polyalg import (
+    PolyError,
+    Polynomial,
+    associated_function,
+    compose_even,
+    even_odd_split,
+    laurent_expand,
+    pole_count,
+)
+
+
+def P(*cs):
+    return Polynomial(list(cs))
 
 
 def run(argv):
@@ -81,6 +96,39 @@ class TestMinorsCommand:
         capped = run_json(["--max-order", "0", "minors", "1,6,11,6"])
         assert capped["hankel_order"] == 0
         assert capped["hankel_d"] == []
+
+    def test_pole_count_comes_from_the_routh_array(self, monkeypatch):
+        # hankel_order is deg p0 - deg gcd(p0, p1), read off the array
+        # that gave the minors, with no reduction of p1/p0 by a Euclid
+        rng = random.Random(72)
+        polys = [P(1, 0, 3, 0, 2), P(2, 0, 3), P(1, 1, 1, 1), P(7)]
+        for _ in range(300):
+            f = P(1, *[rng.randint(-2, 2) for _ in range(rng.randint(0, 2))])
+            g = P(rng.choice([-1, 1, 2]),
+                  *[rng.choice([0, 0, 1, -1, 2]) for _ in range(rng.randint(0, 6))])
+            polys.append(compose_even(f) * g)
+        expected = []
+        for p in polys:
+            if even_odd_split(p).p0.is_zero():
+                continue
+            R = associated_function(p)
+            r = pole_count(R)
+            try:
+                laurent_expand(R, r)
+            except PolyError:       # refused whatever the pole count
+                continue
+            expected.append((p, r, _routh(p.coeffs)[2]))
+
+        def refuse(a, b):
+            raise AssertionError("p1/p0 was reduced by a Euclid")
+        monkeypatch.setattr("genhurwitz.polyalg.poly_gcd", refuse)
+        seen = set()
+        for p, r, stalled in expected:
+            text = ",".join(str(c) for c in p.coeffs)
+            assert run_json(["minors", "--", text])["hankel_order"] == r, p
+            seen.add((stalled, r < even_odd_split(p).p0.degree))
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
 
 
 class TestCfCommand:

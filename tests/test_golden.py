@@ -1,10 +1,11 @@
-"""Byte pins: classify reports and CLI output on a seeded corpus.
+"""Byte pins: classify reports and CLI output on two seeded corpora.
 
-One sha256 digest covers, for every corpus polynomial, the JSON of
-`classify(p).to_json_dict()` (keys sorted) and the exit code, stdout and
-stderr of `cli.main` for `classify`, `minors`, `cf` and `dual`.  A change
-that moves any of those bytes changes the digest.  Update `DIGEST` only
-for an intended output change, and say which bytes moved and why.
+One sha256 digest per corpus covers, for every corpus polynomial, the
+JSON of `classify(p).to_json_dict()` (keys sorted) and the exit code,
+stdout and stderr of `cli.main` for `classify`, `minors`, `cf` and
+`dual`.  A change that moves any of those bytes changes a digest.  Update
+`DIGEST` or `LABEL_DIGEST` only for an intended output change, and say
+which bytes moved and why.
 """
 
 import contextlib
@@ -13,11 +14,27 @@ import io
 import json
 import random
 
-from genhurwitz.classify import classify
+from genhurwitz.classify import (
+    LABEL_ALMOST_SI,
+    LABEL_GH,
+    LABEL_NONE,
+    LABEL_QUASI,
+    LABEL_QUASI_SI,
+    LABEL_SI,
+    LABEL_STABLE,
+    LABELS,
+    classify,
+)
 from genhurwitz.cli import main
-from genhurwitz.polyalg import Polynomial, compose_even, times_z
+from genhurwitz.oracle import (
+    StructureSpec,
+    UnrealizableSpecError,
+    generate_instance,
+)
+from genhurwitz.polyalg import Polynomial, compose_even, reflect, times_z
 
 DIGEST = "b716229e560ab068b1b7a7b941a7a1db1d9777f97050040cfb61cc38930b4fdf"
+LABEL_DIGEST = "a90b59eb384c9c7d4d8f207e0dc767b265c9ddb51f9f8fc3861813cbadf61ced"
 
 COMMANDS = ("classify", "minors", "cf", "dual")
 
@@ -38,6 +55,29 @@ def _corpus():
         yield times_z(p) if rng.random() < 0.3 else p
 
 
+def _label_corpus():
+    """Generated instances of every label and SI type, degrees 2-8, then
+    the reflections of stable ones (anti-stable, so unclassified)."""
+    specs = []
+    for n in range(2, 9):
+        specs.append(StructureSpec(LABEL_STABLE, n))
+        specs += [StructureSpec(LABEL_QUASI, n, degeneracy_m=m)
+                  for m in (1, 2, 3)]
+        for si in ("I", "II"):
+            specs += [StructureSpec(LABEL_SI, n, si_type=si),
+                      StructureSpec(LABEL_ALMOST_SI, n, si_type=si),
+                      StructureSpec(LABEL_QUASI_SI, n, si_type=si)]
+            specs += [StructureSpec(LABEL_GH, n, si_type=si, order_k=k)
+                      for k in range(1, (n + 1) // 2)]
+    for seed, spec in enumerate(specs):
+        try:
+            yield generate_instance(spec, seed)
+        except UnrealizableSpecError:
+            continue
+    for n in range(1, 9):
+        yield reflect(generate_instance(StructureSpec(LABEL_STABLE, n), n))
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -45,9 +85,9 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def corpus_digest():
+def corpus_digest(corpus):
     h = hashlib.sha256()
-    for p in _corpus():
+    for p in corpus:
         text = ",".join(str(c) for c in p.coeffs)
         h.update(json.dumps(classify(p).to_json_dict(),
                             sort_keys=True).encode())
@@ -60,4 +100,21 @@ def corpus_digest():
 
 
 def test_reports_and_cli_bytes_are_pinned():
-    assert corpus_digest() == DIGEST
+    assert corpus_digest(_corpus()) == DIGEST
+
+
+def test_every_label_is_pinned():
+    assert corpus_digest(_label_corpus()) == LABEL_DIGEST
+
+
+def test_pinned_corpora_reach_every_verdict():
+    pairs, reflected = set(), set()
+    for p in list(_corpus()) + list(_label_corpus()):
+        report = classify(p)
+        pairs.add((report.label, report.si_type))
+        reflected.add(report.certificates.get("reflected_label"))
+    typed = (LABEL_SI, LABEL_ALMOST_SI, LABEL_QUASI_SI, LABEL_GH)
+    assert pairs == ({(LABEL_STABLE, None), (LABEL_QUASI, None),
+                      (LABEL_NONE, None)}
+                     | {(label, t) for label in typed for t in ("I", "II")})
+    assert reflected - {None} == set(LABELS)

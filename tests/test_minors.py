@@ -215,12 +215,12 @@ class TestHurwitzMinors:
             assert hm.delta == tuple(bareiss), p
             found, aux, stalled = _routh(p.coeffs)
             assert hm.delta[:len(found)] == tuple(found), p
-            if stalled:
-                assert hm.halves_gcd is None and aux is None, p
-                ends.add("entry stall")
-                continue
             halves = even_odd_split(p)
             assert hm.halves_gcd == poly_gcd(halves.p0, halves.p1), p
+            if stalled:
+                assert aux is None, p
+                ends.add("entry stall")
+                continue
             assert all(d == 0 for d in hm.delta[len(found):]), p
             if aux is None:
                 ends.add("complete")
@@ -231,6 +231,17 @@ class TestHurwitzMinors:
                 ends.add("rational")
         assert ends == {"complete", "zero row", "zero row times z",
                         "entry stall", "rational"}
+
+    def test_d_extends_the_chain_both_ways(self):
+        # p = 2z^3 + 3z^2 + 5z + 7: Delta_{-1} = 1/a_0 = 1/2, not delta[-2]
+        hm = hurwitz_minors(P(2, 3, 5, 7))
+        assert hm.delta == (F(3), F(1), F(7))
+        assert hm.d(-1) == F(1, 2)
+        assert hm.d(0) == 1
+        assert [hm.d(j) for j in (1, 2, 3)] == list(hm.delta)
+        for j in (-2, 4):
+            with pytest.raises(IndexError):
+                hm.d(j)
 
 
 class TestNablaMinors:

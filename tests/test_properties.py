@@ -21,6 +21,7 @@ from genhurwitz.polyalg import (
     times_z,
 )
 from genhurwitz.minors import (
+    _routh,
     exact_det,
     finite_hurwitz_matrix,
     hankel_minors,
@@ -277,12 +278,13 @@ class TestMinorInvariants:
         hm = hurwitz_minors(p)
         assert hm.delta == tuple(
             leading_principal_minors(finite_hurwitz_matrix(p)))
-        if hm.halves_gcd is not None:
-            split = even_odd_split(p)
-            u = sympy.Symbol("u")
-            shared = sympy.gcd(_sympy_poly(split.p0, u),
-                               _sympy_poly(split.p1, u))
-            assert _sympy_poly(hm.halves_gcd, u) == shared.monic()
+        split = even_odd_split(p)
+        u = sympy.Symbol("u")
+        shared = sympy.gcd(_sympy_poly(split.p0, u),
+                           _sympy_poly(split.p1, u))
+        assert _sympy_poly(hm.halves_gcd, u) == shared.monic()
+        if _routh(p.coeffs)[2]:
+            assert hm.halves_gcd == poly_gcd(split.p0, split.p1)
 
     @given(even_factors(), small_integer_polynomials(max_degree=6))
     @example(Polynomial([1, 1]), Polynomial([1, 0, 1]))    # axis pairs in both

@@ -15,3 +15,26 @@ def test_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert not found, found
+
+
+def test_no_unused_imports():
+    # every imported name is read somewhere in its module; the package
+    # __init__ re-exports, so it is exempt
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
