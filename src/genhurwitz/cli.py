@@ -204,7 +204,11 @@ def _parse_spec(text: str, seed: int):
         except ValueError:
             raise _BadToken(
                 f"matrix spec field n={params['n']!r} is not an integer") from None
-        return sm.flip(n) if kind == "flip" else sm.random_tn_matrix(n, seed)
+        if kind == "randomtn":
+            return sm.random_tn_matrix(n, seed)
+        if n > sm.SCAN_CAP:
+            raise InvalidInputError(f"dimension must lie in 1..{sm.SCAN_CAP}")
+        return sm.flip(n)
     raise _BadToken(f"unknown matrix spec kind {kind!r}")
 
 
@@ -214,9 +218,10 @@ def _cmd_matrix(args) -> dict:
         M = _parse_spec(args.spec, args.seed)
         return {"n": M.n, "rows": [[str(x) for x in row] for row in M.rows]}
     M = _matrix_from_rows(args.spec)
+    # first, so an input past the scan cap or a bad order costs nothing more
+    sig = sm.signature_scan(M, args.max_order)
     cp = sm.char_poly(M)
     report = classify(cp)
-    sig = sm.signature_scan(M, args.max_order)
     out = {
         "n": M.n,
         "rows": [[str(x) for x in row] for row in M.rows],
@@ -251,6 +256,18 @@ def _cmd_matrix(args) -> dict:
 # ---------------------------------------------------------------------------
 # parser plumbing
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --max-order: a negative cap is malformed input."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later `main`
@@ -260,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Zero-location taxonomy of real polynomials, exactly.")
     top.add_argument("--pretty", action="store_true",
                      help="indent the JSON output")
-    top.add_argument("--max-order", type=int, default=None, metavar="N",
+    top.add_argument("--max-order", type=_nonnegative_int, default=None,
+                     metavar="N",
                      help="cap for minor scans")
     top.add_argument("--seed", type=int, default=0, metavar="N",
                      help="seed for randomized constructions")

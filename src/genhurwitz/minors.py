@@ -4,14 +4,16 @@ Exact determinants (fraction-free Bareiss over the integers), the Hankel
 minor families D_j and Dhat_j of a series at infinity, Hurwitz minors of a
 polynomial (a fraction-free Routh array, with Bareiss only where an entry
 of the array stalls), the interleaved minors of a polynomial pair,
-Frobenius-rule sign change counting, and brute-force total nonnegativity
-scans.
+Frobenius-rule sign change counting, and the table of all minors of a
+matrix (integer Laplace expansion, order by order) that the total
+nonnegativity and sign definiteness scans read.
 
 No floats here either; every sign that leaves this module is exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -471,13 +473,68 @@ class TNNScan:
     checked_order: int
 
 
+def _minor_table(rows: Sequence[Sequence[Fraction]], top: int):
+    """Every minor of orders 1..top of a rectangular matrix, order by order.
+
+    The rows are integerized once (`_integerize`).  Returns the positive
+    row multipliers and an iterator of (rows, cols, v): v is the minor of
+    the integer matrix, so the minor itself is v / prod(mults[r] for r in
+    rows) and has v's sign.  Each order comes in combinations(rows) x
+    combinations(cols) order.  An order-k minor is the Laplace expansion
+    along its first chosen row R_0 over the order k-1 table,
+
+        minor(R, C) = sum_j (-1)^j a[R_0][C_j] minor(R - {R_0}, C - {C_j}),
+
+    so it costs O(k) integer operations, sum_k C(m,k) C(n,k) k for the
+    whole table, and only orders k-1 and k are held.  The sum is taken
+    term by term: each nonzero a[R_0][c] adds its multiples of the order
+    k-1 minors of rows R - {R_0} into the minors whose columns contain c.
+    """
+    m, mults = _integerize(rows)
+    ncols = len(m[0]) if m else 0
+
+    def minors():
+        prev_cols = [()]
+        prev = {(): [1]}        # row subset -> minors, as in prev_cols
+        for k in range(1, top + 1):
+            cols = list(combinations(range(ncols), k))
+            index = {c: i for i, c in enumerate(cols)}
+            # column c takes the order k-1 minor on columns S to the order
+            # k minor on S + {c}, with sign (-1)^(position of c there)
+            plus = [[] for _ in range(ncols)]
+            minus = [[] for _ in range(ncols)]
+            for i, S in enumerate(prev_cols):
+                for c in range(ncols):
+                    if c not in S:
+                        j = bisect_left(S, c)
+                        (minus if j % 2 else plus)[c].append(
+                            (i, index[S[:j] + (c,) + S[j:]]))
+            table = {}
+            for ridx in combinations(range(len(m)), k):
+                a, sub = m[ridx[0]], prev[ridx[1:]]
+                vals = [0] * len(cols)
+                for c, x in enumerate(a):
+                    if x:
+                        for i, t in plus[c]:
+                            vals[t] += x * sub[i]
+                        for i, t in minus[c]:
+                            vals[t] -= x * sub[i]
+                table[ridx] = vals
+                for cidx, v in zip(cols, vals):
+                    yield ridx, cidx, v
+            prev_cols, prev = cols, table
+    return mults, minors()
+
+
 def total_nonnegativity_scan(rows: Sequence[Sequence[Fraction]],
                              max_order: Optional[int] = None) -> TNNScan:
     """Check every minor up to max_order for nonnegativity.
 
-    Exhaustive by construction (the point is certification, not speed);
-    the first negative minor is returned as a witness.  Matrices larger
-    than 8x8 are refused, the minor count doubles four times per step.
+    Exhaustive, order by order, from one integer Laplace table
+    (`_minor_table`); the first negative minor in combinations order is
+    returned as a witness.  Matrices larger than 8x8 are refused: the
+    table holds sum_k C(m,k) C(n,k) minors, 12,869 at 8x8 and four times
+    as many per added dimension.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -490,11 +547,8 @@ def total_nonnegativity_scan(rows: Sequence[Sequence[Fraction]],
     top = min(m, ncols)
     if max_order is not None:
         top = min(top, max_order)
-    mat = [[_rat(x) for x in row] for row in rows]
-    for k in range(1, top + 1):
-        for ridx in combinations(range(m), k):
-            for cidx in combinations(range(ncols), k):
-                det = exact_det([[mat[i][j] for j in cidx] for i in ridx])
-                if det < 0:
-                    return TNNScan(False, ridx, cidx, k)
+    _, table = _minor_table([[_rat(x) for x in row] for row in rows], top)
+    for ridx, cidx, v in table:
+        if v < 0:
+            return TNNScan(False, ridx, cidx, len(ridx))
     return TNNScan(True, None, None, top)

@@ -247,6 +247,47 @@ class TestMatrixCommand:
     def test_ragged_rows(self):
         assert run(["matrix", "check", "1,2;1"])[0] == 2
 
+    def test_check_reads_minors_from_tables(self, monkeypatch):
+        # every exact_det binding counts: the scans once took one call per
+        # minor, hundreds for a 6 x 6
+        import genhurwitz.minors as minors
+        import genhurwitz.simatrix as simatrix
+        from genhurwitz.simatrix import flip, random_tn_matrix
+        calls = []
+        real = minors.exact_det
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+        for module in (minors, simatrix):
+            monkeypatch.setattr(module, "exact_det", counting)
+        for seed in range(3):
+            A = flip(6) * random_tn_matrix(6, seed)
+            rows = ";".join(",".join(str(x) for x in row) for row in A.rows)
+            calls.clear()
+            d = run_json(["matrix", "check", rows])
+            assert d["si_spectrum"] and d["signature"]["definite"]
+            assert len(calls) <= 2, calls
+
+    def test_check_refuses_past_the_cap_before_the_spectrum(self, monkeypatch):
+        import genhurwitz.simatrix as simatrix
+
+        def refuse(*args):
+            raise AssertionError("ran on an input past the scan cap")
+        monkeypatch.setattr(simatrix, "char_poly", refuse)
+        monkeypatch.setattr("genhurwitz.cli.classify", refuse)
+        rows = ";".join(",".join("1" if i == j else "0" for j in range(9))
+                        for i in range(9))
+        assert run(["matrix", "check", rows]) == (
+            3, "", "error: sign definiteness scan is capped at 8x8\n")
+
+    @pytest.mark.parametrize("kind", ["flip", "randomtn"])
+    def test_build_refuses_past_the_cap(self, kind):
+        assert run(["matrix", "build", f"{kind}:n=9"]) == (
+            3, "", "error: dimension must lie in 1..8\n")
+        assert run(["matrix", "build", f"{kind}:n=100000000"])[0] == 3
+        assert run_json(["matrix", "build", f"{kind}:n=8"])["n"] == 8
+
     def test_float_entries_rejected(self):
         assert run(["matrix", "check", "1.5,0;0,1"])[0] == 2
 
@@ -264,6 +305,22 @@ class TestExitCodes:
 
     def test_no_subcommand(self):
         assert run([])[0] == 2
+
+    @pytest.mark.parametrize("argv", [["minors", "1,2,3"],
+                                      ["matrix", "check", "1,2;1,1"]])
+    def test_negative_max_order_is_malformed(self, argv):
+        code, out, err = run(["--max-order", "-1"] + argv)
+        assert code == 2 and out == ""
+        assert "--max-order" in err and "'-1' is negative" in err
+        code, _, err = run(["--max-order", "x"] + argv)
+        assert code == 2 and "invalid int value: 'x'" in err
+
+    def test_zero_max_order(self):
+        assert run_json(["--max-order", "0", "minors", "1,2,3"]) == {
+            "degree": 2, "delta": ["2", "6"], "eta": ["1", "2", "6"],
+            "hankel_d": [], "hankel_dhat": [], "hankel_order": 0}
+        assert run(["--max-order", "0", "matrix", "check", "1,2;1,1"]) == (
+            3, "", "error: max_order out of range\n")
 
     def test_errors_leave_stdout_empty(self):
         _, out, _ = run(["classify", "1,2.5,1"])

@@ -1,11 +1,13 @@
-"""Byte pins: classify reports and CLI output on two seeded corpora.
+"""Byte pins: classify reports and CLI output on seeded corpora.
 
-One sha256 digest per corpus covers, for every corpus polynomial, the
-JSON of `classify(p).to_json_dict()` (keys sorted) and the exit code,
-stdout and stderr of `cli.main` for `classify`, `minors`, `cf` and
-`dual`.  A change that moves any of those bytes changes a digest.  Update
-`DIGEST` or `LABEL_DIGEST` only for an intended output change, and say
-which bytes moved and why.
+One sha256 digest per polynomial corpus covers, for every corpus
+polynomial, the JSON of `classify(p).to_json_dict()` (keys sorted) and
+the exit code, stdout and stderr of `cli.main` for `classify`, `minors`,
+`cf` and `dual`.  `MATRIX_DIGEST` covers the exit code, stdout and stderr
+of `matrix check` on a seeded matrix corpus, with and without
+`--max-order`.  A change that moves any of those bytes changes a digest.
+Update a digest only for an intended output change, and say which bytes
+moved and why.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import hashlib
 import io
 import json
 import random
+from fractions import Fraction
 
 from genhurwitz.classify import (
     LABEL_ALMOST_SI,
@@ -32,9 +35,11 @@ from genhurwitz.oracle import (
     generate_instance,
 )
 from genhurwitz.polyalg import Polynomial, compose_even, reflect, times_z
+from genhurwitz.simatrix import ExactMatrix, flip, random_tn_matrix
 
 DIGEST = "b716229e560ab068b1b7a7b941a7a1db1d9777f97050040cfb61cc38930b4fdf"
 LABEL_DIGEST = "a90b59eb384c9c7d4d8f207e0dc767b265c9ddb51f9f8fc3861813cbadf61ced"
+MATRIX_DIGEST = "840060b168722454983bfcf1b4727cb15566c23c59620d2694f11069e4df054f"
 
 COMMANDS = ("classify", "minors", "cf", "dual")
 
@@ -78,6 +83,45 @@ def _label_corpus():
         yield reflect(generate_instance(StructureSpec(LABEL_STABLE, n), n))
 
 
+def _matrix_corpus():
+    """Rows of n x n matrices, n = 1-8: flipped totally nonnegative
+    products (sign definite), bare ones, the rank-one all-ones matrix and
+    its flip (singular and TN), random rationals of both signs, and
+    sparse 0/+-1 matrices (vanishing and singular minors, zero rows);
+    then one 9 x 9 input past the scan cap."""
+    rng = random.Random(20261019)
+    for n in range(1, 9):
+        J = flip(n)
+        ones = ExactMatrix([[1] * n for _ in range(n)])
+        mats = [J * random_tn_matrix(n, rng.getrandbits(32)),
+                J * random_tn_matrix(n, rng.getrandbits(32)),
+                random_tn_matrix(n, rng.getrandbits(32)),
+                ones, J * ones]
+        mats.append(ExactMatrix(
+            [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(n)] for _ in range(n)]))
+        for _ in range(2):
+            rows = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)]
+                    for _ in range(n)]
+            rows[rng.randrange(n)] = [0] * n
+            mats.append(ExactMatrix(rows))
+        for A in mats:
+            yield A.rows
+    yield [[int(i == j) for j in range(9)] for i in range(9)]
+
+
+def matrix_digest(corpus):
+    h = hashlib.sha256()
+    rng = random.Random(7)
+    for rows in corpus:
+        text = ";".join(",".join(str(x) for x in row) for row in rows)
+        n = len(rows)
+        for option in ([], ["--max-order", str(rng.randint(0, n + 1))]):
+            code, out, err = _run(option + ["matrix", "check", "--", text])
+            h.update(f"\0{option}\0{code}\0{out}\0{err}\0".encode())
+    return h.hexdigest()
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -105,6 +149,28 @@ def test_reports_and_cli_bytes_are_pinned():
 
 def test_every_label_is_pinned():
     assert corpus_digest(_label_corpus()) == LABEL_DIGEST
+
+
+def test_matrix_check_is_pinned():
+    assert matrix_digest(_matrix_corpus()) == MATRIX_DIGEST
+
+
+def test_matrix_corpus_reaches_every_scan_outcome():
+    outcomes = set()
+    for rows in _matrix_corpus():
+        text = ";".join(",".join(str(x) for x in row) for row in rows)
+        code, out, _ = _run(["matrix", "check", "--", text])
+        if code:
+            outcomes.add("refused")
+            continue
+        d = json.loads(out)
+        outcomes.add(("definite", d["signature"]["definite"]))
+        outcomes.add(("tnn", d["totally_nonnegative"]))
+        outcomes.add(("vanishing order", None in d["signature"]["signs"]))
+        outcomes.add(("class n+", d["class_n_plus"]))
+    assert outcomes == {"refused"} | {
+        (kind, flag) for kind in ("definite", "tnn", "vanishing order",
+                                  "class n+") for flag in (True, False)}
 
 
 def test_pinned_corpora_reach_every_verdict():

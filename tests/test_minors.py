@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -21,6 +23,8 @@ from genhurwitz.minors import (
     InvalidPairError,
     InvalidSequenceError,
     SeriesLengthError,
+    TNNScan,
+    _minor_table,
     _routh,
     exact_det,
     finite_hurwitz_matrix,
@@ -337,3 +341,95 @@ class TestTotalNonnegativityScan:
         big = [[F(1)] * 9 for _ in range(9)]
         with pytest.raises(InvalidInputError):
             total_nonnegativity_scan(big)
+
+
+def _tnn_by_determinants(rows, max_order=None):
+    """The scan as one `exact_det` per minor: the oracle for the table."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    top = min(m, ncols)
+    if max_order is not None:
+        top = min(top, max_order)
+    for k in range(1, top + 1):
+        for ridx in combinations(range(m), k):
+            for cidx in combinations(range(ncols), k):
+                if exact_det([[rows[i][j] for j in cidx] for i in ridx]) < 0:
+                    return TNNScan(False, ridx, cidx, k)
+    return TNNScan(True, None, None, top)
+
+
+def _tn(n, rng):
+    """Product of nonnegative bidiagonal factors: totally nonnegative, and
+    singular when a diagonal entry is 0."""
+    out = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        lower = rng.random() < 0.5
+        B = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            B[i][i] = F(rng.randint(0, 3), rng.randint(1, 2))
+        for i in range(n - 1):
+            if lower:
+                B[i + 1][i] = F(rng.randint(0, 2))
+            else:
+                B[i][i + 1] = F(rng.randint(0, 2))
+        out = [[sum(out[i][t] * B[t][j] for t in range(n)) for j in range(n)]
+               for i in range(n)]
+    return out
+
+
+def _table_corpus():
+    """Square and rectangular inputs: rational entries of both signs,
+    zero rows, rank one and rank two, singular TN products, 0/+-1."""
+    rng = random.Random(4242)
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 3), (3, 3),
+              (4, 6), (6, 4), (5, 5), (6, 6)]
+    for m, n in shapes:
+        yield [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+               for _ in range(m)]
+        rows = [[F(rng.choice((0, 0, 1, -1))) for _ in range(n)]
+                for _ in range(m)]
+        rows[rng.randrange(m)] = [F(0)] * n
+        yield rows
+        u = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+        v = [F(rng.randint(-3, 3)) for _ in range(n)]
+        w = [F(rng.randint(0, 2)) for _ in range(m)]
+        yield [[u[i] * v[j] + w[i] * v[(j + 1) % n] for j in range(n)]
+               for i in range(m)]
+    for n in range(1, 7):
+        yield _tn(n, rng)
+        yield [row[:-1] for row in _tn(n + 1, rng)]
+    yield [[F(1)] * 5 for _ in range(5)]
+
+
+class TestMinorTable:
+    def test_every_entry_is_the_exact_determinant(self):
+        for rows in _table_corpus():
+            m, n = len(rows), len(rows[0])
+            mults, table = _minor_table(rows, min(m, n))
+            seen = []
+            for ridx, cidx, v in table:
+                seen.append((ridx, cidx))
+                sub = [[rows[i][j] for j in cidx] for i in ridx]
+                assert F(v, prod(mults[r] for r in ridx)) == exact_det(sub)
+            assert seen == [(r, c) for k in range(1, min(m, n) + 1)
+                            for r in combinations(range(m), k)
+                            for c in combinations(range(n), k)]
+
+    def test_multipliers_are_positive_and_top_bounds_the_orders(self):
+        rows = [[F(1, 2), F(-1, 3)], [F(2), F(3, 4)]]
+        mults, table = _minor_table(rows, 1)
+        assert all(f > 0 for f in mults)
+        assert [len(r) for r, _, _ in table] == [1] * 4
+        assert list(_minor_table(rows, 0)[1]) == []
+
+    def test_scan_matches_one_determinant_per_minor(self):
+        corpus = list(_table_corpus())
+        assert any(not _tnn_by_determinants(r).ok for r in corpus)
+        assert any(_tnn_by_determinants(r).ok and exact_det(r) == 0
+                   for r in corpus if len(r) == len(r[0]) > 2)
+        for rows in corpus:
+            top = min(len(rows), len(rows[0]))
+            for max_order in [None] + list(range(-1, top + 2)):
+                assert (total_nonnegativity_scan(rows, max_order)
+                        == _tnn_by_determinants(rows, max_order)), \
+                    (rows, max_order)

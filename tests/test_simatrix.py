@@ -1,15 +1,19 @@
 """Matrices with mirror-symmetric structure and their spectra."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+import sympy
 
 from genhurwitz.polyalg import InvalidInputError
-from genhurwitz.minors import total_nonnegativity_scan
+from genhurwitz.minors import exact_det, total_nonnegativity_scan
 from genhurwitz.simatrix import (
     ExactMatrix,
     MatrixShapeError,
+    SignatureSequence,
     anti_bidiagonal,
     anti_tridiagonal_criterion,
     char_poly,
@@ -29,6 +33,58 @@ F = Fraction
 
 def M(rows):
     return ExactMatrix(rows)
+
+
+def _signature_by_determinants(A, max_order=None):
+    """The scan as one `exact_det` per minor: the oracle for the table."""
+    n = A.n
+    top = n if max_order is None else max_order
+    signs = []
+    for k in range(1, top + 1):
+        common = first = None
+        for ridx in combinations(range(n), k):
+            for cidx in combinations(range(n), k):
+                val = A.minor(ridx, cidx)
+                if val == 0:
+                    continue
+                s = 1 if val > 0 else -1
+                if common is None:
+                    common, first = s, (ridx, cidx, val)
+                elif s != common:
+                    return SignatureSequence(
+                        tuple(signs), False,
+                        (k, first, (ridx, cidx, val)), k)
+        signs.append(common)
+    return SignatureSequence(tuple(signs), True, None, top)
+
+
+def _char_poly_by_fractions(A):
+    """The trace recursion on the Fraction matrix itself."""
+    ident = identity(A.n)
+    B, coeffs = ident, [F(1)]
+    for k in range(1, A.n + 1):
+        Ak = A * B
+        ck = -Ak.trace() / k
+        coeffs.append(ck)
+        B = Ak + ident.scale(ck)
+    return coeffs
+
+
+def _scan_corpus():
+    """Flipped TN products (sign definite), bare TN, the singular all-ones
+    matrix and its flip, signed rationals, sparse 0/+-1 with a zero row."""
+    rng = random.Random(515)
+    for n in range(1, 7):
+        J = flip(n)
+        ones = M([[1] * n for _ in range(n)])
+        yield from (J * random_tn_matrix(n, rng.getrandbits(32)),
+                    random_tn_matrix(n, rng.getrandbits(32)), ones, J * ones,
+                    M([[F(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(n)] for _ in range(n)]))
+        rows = [[rng.choice((0, 0, 1, -1)) for _ in range(n)]
+                for _ in range(n)]
+        rows[rng.randrange(n)] = [0] * n
+        yield M(rows)
 
 
 class TestExactMatrix:
@@ -124,6 +180,24 @@ class TestSignatureScan:
         with pytest.raises(InvalidInputError):
             signature_scan(big)
 
+    def test_matches_one_determinant_per_minor(self):
+        corpus = list(_scan_corpus())
+        outcomes = set()
+        for A in corpus:
+            for max_order in [None] + list(range(1, A.n + 1)):
+                sig = signature_scan(A, max_order)
+                assert sig == _signature_by_determinants(A, max_order), \
+                    (A, max_order)
+                outcomes.add((sig.definite, None in sig.signs))
+            for bad in (0, A.n + 1):
+                with pytest.raises(InvalidInputError):
+                    signature_scan(A, bad)
+        assert outcomes == {(True, True), (True, False), (False, False)}
+        # one 8 x 8 definite scan, every order
+        A = flip(8) * random_tn_matrix(8, 3)
+        assert signature_scan(A) == _signature_by_determinants(A)
+        assert signature_scan(A).signs == flip_signature(8)
+
 
 class TestClassNPlus:
     def test_frozen_examples(self):
@@ -133,6 +207,15 @@ class TestClassNPlus:
 
     def test_singular_rejected(self):
         assert not class_n_plus_check(M([[1, 1], [1, 1]]))
+
+    def test_matches_the_fraction_square(self):
+        for A in _scan_corpus():
+            sq = A * A
+            expected = (sq.det() != 0
+                        and total_nonnegativity_scan(sq.rows).ok
+                        and all(sq.entry(i, i + 1) > 0 and sq.entry(i + 1, i) > 0
+                                for i in range(A.n - 1)))
+            assert class_n_plus_check(A) == expected, A
 
 
 class TestAntiBidiagonal:
@@ -190,6 +273,20 @@ class TestCharPoly:
         cp = char_poly(A)
         assert cp.coeffs[-1] == (-1) ** A.n * A.det()
         assert cp.coeffs[1] == -A.trace()
+
+    def test_matches_the_fraction_recursion_and_sympy(self):
+        rng = random.Random(77)
+        corpus = list(_scan_corpus()) + [
+            M([[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+               for _ in range(n)]) for n in range(1, 9)]
+        for A in corpus:
+            coeffs = char_poly(A).coeffs
+            assert list(coeffs) == _char_poly_by_fractions(A), A
+            S = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                               for x in row] for row in A.rows])
+            assert [F(int(c.p), int(c.q)) for c in S.charpoly().all_coeffs()] \
+                == list(coeffs), A
+            assert coeffs[-1] == (-1) ** A.n * exact_det(A.rows)
 
 
 class TestSiSpectrum:
