@@ -22,11 +22,11 @@ from .polyalg import (
     PolyError,
     Polynomial,
     associated_function,
-    laurent_expand,
     parse_polynomial,
+    _check_growth,
     _parse_token,
 )
-from .minors import hankel_minors, hurwitz_minors, total_nonnegativity_scan
+from .minors import hurwitz_minors, total_nonnegativity_scan
 from .stieltjes import cf_from_hurwitz_minors, pole_sign_summary
 from .classify import LABEL_SI, _jsonable, classify, dual_transform
 
@@ -59,22 +59,35 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_minors(args) -> dict:
+    """Hurwitz minors of p, and the Hankel minors of p1/p0 read off them.
+
+    With p0 the even half, e = n - 1 - 2 deg p0, c = lc(p0) and
+    h_k = Delta_{e+k} / (Delta_e c^k), the Hurwitz-Hankel relations give
+    D_j = h_{2j} and Dhat_j = (-1)^j h_{2j+1}, where Delta_{-1} = 1/a_0 and
+    Delta_0 = 1 (`HurwitzMinors.d`).  e = -1 for even n, 0 for odd n with
+    a_1 != 0, and 2 for odd n with a_1 = 0 != a_3 (p1/p0 grows linearly).
+    Refused, in this order: p0 = 0 (`associated_function`), then e >= 4,
+    growth past one linear term (`_check_growth`).  The order is the pole
+    count deg p0 - deg gcd(p0, p1), capped by --max-order.
+    """
     p = _poly(args.coeffs)
     hm = hurwitz_minors(p)
-    out = {
+    R = associated_function(p)
+    p0 = R.den
+    _check_growth(R.num, p0)
+    r = p0.degree - hm.halves_gcd.degree
+    order = r if args.max_order is None else min(r, args.max_order)
+    e, c = p.degree - 1 - 2 * p0.degree, p0.coeffs[0]
+    h = [hm.d(e + k) / (hm.d(e) * c ** k) for k in range(2, 2 * order + 2)]
+    return {
         "degree": p.degree,
         "delta": [str(d) for d in hm.delta],
-        "eta": [str(e) for e in hm.eta],
+        "eta": [str(x) for x in hm.eta],
+        "hankel_d": [str(x) for x in h[0::2]],
+        "hankel_dhat": [str(-x if j % 2 else x)
+                        for j, x in enumerate(h[1::2], 1)],
+        "hankel_order": order,
     }
-    R = associated_function(p)
-    # the poles of p1/p0 after cancelling gcd(p0, p1)
-    r = R.den.degree - hm.halves_gcd.degree
-    order = r if args.max_order is None else min(r, args.max_order)
-    hk = hankel_minors(laurent_expand(R, order), order)
-    out["hankel_d"] = [str(d) for d in hk.D]
-    out["hankel_dhat"] = [str(d) for d in hk.Dhat]
-    out["hankel_order"] = order
-    return out
 
 
 def _cmd_cf(args) -> dict:
@@ -318,10 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _BadToken as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except PolyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except RuntimeError as e:
+    except (PolyError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     indent = 2 if args.pretty else None

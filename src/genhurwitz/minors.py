@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .polyalg import (
@@ -38,6 +38,8 @@ __all__ = [
     "hankel_character_test", "finite_hurwitz_matrix",
     "infinite_hurwitz_block",
 ]
+
+SCAN_CAP = 8     # largest dimension the exhaustive minor scans take
 
 
 class SeriesLengthError(InvalidInputError):
@@ -114,10 +116,7 @@ def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     if n == 0:
         return Fraction(1)
     m, mults = _integerize(rows)
-    scale = 1
-    for f in mults:
-        scale *= f
-    return Fraction(_int_bareiss(m), scale)
+    return Fraction(_int_bareiss(m), prod(mults))
 
 
 def leading_principal_minors(rows: Sequence[Sequence[Fraction]]) -> List[Fraction]:
@@ -138,24 +137,21 @@ def leading_principal_minors(rows: Sequence[Sequence[Fraction]]) -> List[Fractio
 
     out: List[Fraction] = []
     prev = 1
-    stalled = None
     for k in range(n):
         piv = m[k][k]
         out.append(Fraction(piv, prefix[k + 1]))
         if piv == 0:
-            stalled = k
             break
-        if k < n - 1:
-            for i in range(k + 1, n):
-                row_i, row_k = m[i], m[k]
-                f = row_i[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * piv - f * row_k[j]) // prev
-                row_i[k] = 0
-            prev = piv
-    if stalled is not None:
-        for k in range(stalled + 1, n):
-            out.append(exact_det([row[:k + 1] for row in rows[:k + 1]]))
+        for i in range(k + 1, n):
+            row_i, row_k = m[i], m[k]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * piv - f * row_k[j]) // prev
+            row_i[k] = 0
+        prev = piv
+    # past a stall, each remaining order is its own determinant
+    for k in range(len(out), n):
+        out.append(exact_det([row[:k + 1] for row in rows[:k + 1]]))
     return out
 
 
@@ -257,11 +253,7 @@ def _routh(coeffs: Sequence[Fraction]):
     integer row above the first whole zero row, or None; and whether a
     zero first entry in a nonzero row stopped the array.
     """
-    scale = 1
-    for c in coeffs:
-        d = c.denominator
-        scale = scale * d // gcd(scale, d)
-    a = [c.numerator * (scale // c.denominator) for c in coeffs]
+    (a,), (scale,) = _integerize([coeffs])
     above, row = a[0::2], a[1::2]
     leads: List[int] = []
     delta: List[Fraction] = []
@@ -532,20 +524,23 @@ def total_nonnegativity_scan(rows: Sequence[Sequence[Fraction]],
 
     Exhaustive, order by order, from one integer Laplace table
     (`_minor_table`); the first negative minor in combinations order is
-    returned as a witness.  Matrices larger than 8x8 are refused: the
-    table holds sum_k C(m,k) C(n,k) minors, 12,869 at 8x8 and four times
-    as many per added dimension.
+    returned as a witness.  A max_order below 1 is refused; one above
+    min(m, n) is clamped.  Matrices larger than `SCAN_CAP` (8x8) are
+    refused: the table holds sum_k C(m,k) C(n,k) minors, 12,869 at 8x8
+    and four times as many per added dimension.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     if any(len(r) != ncols for r in rows):
         raise InvalidInputError("ragged matrix")
-    if max(m, ncols) > 8:
+    if max(m, ncols) > SCAN_CAP:
         raise InvalidInputError(
-            "total nonnegativity scan is capped at 8x8 "
+            f"total nonnegativity scan is capped at {SCAN_CAP}x{SCAN_CAP} "
             "(minor count grows as 4^n)")
     top = min(m, ncols)
     if max_order is not None:
+        if max_order < 1:
+            raise InvalidInputError("max_order out of range")
         top = min(top, max_order)
     _, table = _minor_table([[_rat(x) for x in row] for row in rows], top)
     for ridx, cidx, v in table:

@@ -408,6 +408,15 @@ class LaurentSeries:
         raise IndexError(f"series term s_{j} was not expanded")
 
 
+def _check_growth(num: Polynomial, den: Polynomial) -> None:
+    """Refuse num/den growing faster than one linear term at infinity."""
+    if num.degree > den.degree + 1:
+        raise UnsupportedGrowthError(
+            f"numerator degree {num.degree} exceeds denominator degree "
+            f"{den.degree} by more than one; no Laurent expansion of this "
+            "shape exists")
+
+
 def laurent_expand(R: RationalFunction, pairs: int) -> LaurentSeries:
     """Expand R at infinity through s_{2*pairs - 1}.
 
@@ -425,15 +434,12 @@ def laurent_expand(R: RationalFunction, pairs: int) -> LaurentSeries:
     if pairs < 0:
         raise InvalidInputError("pairs must be nonnegative")
     num, den = R.num, R.den
+    _check_growth(num, den)
     M = den.degree
     if num.is_zero():
         zero = Fraction(0)
         return LaurentSeries(zero, zero, (zero,) * (2 * pairs))
     N = num.degree
-    if N > M + 1:
-        raise UnsupportedGrowthError(
-            f"numerator degree {N} exceeds denominator degree {M} by more "
-            "than one; no Laurent expansion of this shape exists")
     # Coefficients of the quotient as a power series in w = 1/z:
     # (sum a_k w^k) / (sum b_k w^k) with the leading-first vectors reused
     # verbatim, then F(z) = z^(N-M) * sum c_k w^k.

@@ -27,6 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .polyalg import InvalidInputError, Polynomial, _rat
 from .minors import (
+    SCAN_CAP,
+    _integerize,
     _minor_table,
     exact_det,
     leading_principal_minors,
@@ -41,8 +43,6 @@ __all__ = [
     "char_poly", "si_spectrum_check",
     "random_tn_matrix", "entries_condition",
 ]
-
-SCAN_CAP = 8
 
 
 class MatrixShapeError(InvalidInputError):
@@ -196,13 +196,11 @@ def _exact(minor, mults):
 
 
 def _integer_multiple(M: ExactMatrix) -> Tuple[int, List[List[int]]]:
-    """(d, d M) with d the lcm of M's denominators."""
-    d = 1
-    for row in M.rows:
-        for x in row:
-            d = lcm(d, x.denominator)
-    return d, [[x.numerator * (d // x.denominator) for x in row]
-               for row in M.rows]
+    """(d, d M) with d the lcm of M's denominators: the lcm of the row
+    multipliers of `_integerize`, each integer row scaled up to it."""
+    rows, mults = _integerize(M.rows)
+    d = lcm(*mults)
+    return d, [[x * (d // f) for x in row] for row, f in zip(rows, mults)]
 
 
 def class_n_plus_check(M: ExactMatrix) -> bool:

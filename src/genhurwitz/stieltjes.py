@@ -7,9 +7,11 @@ Hankel minors are nonzero, as
 
 terminating in c_{2r} (even tail) or in c_{2r-1} u (odd tail; exactly the
 case of a pole at the origin).  The partial coefficients come from the
-two Hankel minor families, and for the split quotient of a polynomial
-they come equally from the Hurwitz minors.  Each function runs one
-route; the tests check that the two routes agree.
+two Hankel minor families, and for the split quotient p1/p0 of a
+polynomial they come equally from one chain of ratios of its Hurwitz
+minors, t_m = Delta_m^2 / (Delta_{m-1} Delta_{m+1}) (c = t for even
+degree, c_0 = t_0 and c = t[1:] for odd).  Each function runs one route;
+the tests check that the two routes agree.
 """
 
 from __future__ import annotations
@@ -108,14 +110,15 @@ def extended_expand(R: RationalFunction) -> ExtendedCF:
 
 
 def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
-    """The same expansion of the split quotient, but from Hurwitz minors.
+    """The same expansion of the split quotient, but from Hurwitz minors:
 
-    Even degree n = 2l:  c_0 = 0,        c_i = Delta_{i-1}^2 / (Delta_{i-2} Delta_i)
-    Odd degree n = 2l+1: c_0 = a_0/a_1,  c_i = Delta_i^2 / (Delta_{i-1} Delta_{i+1})
+        t_m = Delta_m^2 / (Delta_{m-1} Delta_{m+1}),   m = 0..N-1,
 
-    with Delta_0 = 1 and Delta_{-1} = 1/a_0.  A zero constant term drops
-    the last partial coefficient and flips the tail to odd.  A vanishing
-    even half makes Delta_1 = a_1 = 0 (odd n), so it is refused here too.
+    with N = max(n - [a_n = 0], 1), Delta_0 = 1 and Delta_{-1} = 1/a_0;
+    c_0 = 0 and c = t for even n, c_0 = t_0 = a_0/a_1 and c = t[1:] for
+    odd n.  A zero constant term drops the last t and flips the tail to
+    odd.  The first vanishing Delta_{m+1} refuses the expansion; a
+    vanishing even half (odd n) makes Delta_1 = a_1 = 0.
     """
     if p.is_zero():
         raise InvalidInputError("expansion of the zero polynomial")
@@ -123,29 +126,14 @@ def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
     if n < 1:
         raise NoCFError("constant polynomial has no split quotient")
     delta = hurwitz_minors(p).d
-    a0 = p.coeffs[0]
-    l = n // 2
     zero_tail = (p.power_coeff(0) == 0)
-    if n % 2 == 0:
-        top = n - 1 if zero_tail else n
-        idx = range(1, top + 1)
-        shift = -1
-        c0 = Fraction(0)
-    else:
-        if delta(1) == 0:
-            raise NoCFError("no expansion: Delta_1 = 0")
-        top = n - 2 if zero_tail else n - 1
-        idx = range(1, top + 1)
-        shift = 0
-        c0 = a0 / p.coeff(1)
-    c = []
-    for i in idx:
-        lo, mid, hi = delta(i + shift - 1), delta(i + shift), delta(i + shift + 1)
-        if lo == 0 or hi == 0:
-            raise NoCFError(f"no expansion: Delta_{i + shift + 1} = 0"
-                            if hi == 0 else f"no expansion: Delta_{i + shift - 1} = 0")
-        c.append(mid ** 2 / (lo * hi))
-    return StieltjesCF(c0, tuple(c), "odd" if zero_tail else "even", l)
+    t = []
+    for m in range(max(n - zero_tail, 1)):
+        if delta(m + 1) == 0:
+            raise NoCFError(f"no expansion: Delta_{m + 1} = 0")
+        t.append(delta(m) ** 2 / (delta(m - 1) * delta(m + 1)))
+    c0, c = (Fraction(0), t) if n % 2 == 0 else (t[0], t[1:])
+    return StieltjesCF(c0, tuple(c), "odd" if zero_tail else "even", n // 2)
 
 
 def cf_reconstruct(cf: Union[StieltjesCF, ExtendedCF]) -> RationalFunction:

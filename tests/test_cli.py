@@ -6,11 +6,12 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from genhurwitz.cli import main
-from genhurwitz.minors import _routh
+from genhurwitz.minors import _routh, hankel_minors
 from genhurwitz.polyalg import (
     PolyError,
     Polynomial,
@@ -19,6 +20,7 @@ from genhurwitz.polyalg import (
     even_odd_split,
     laurent_expand,
     pole_count,
+    times_z,
 )
 
 
@@ -131,6 +133,110 @@ class TestMinorsCommand:
                         (True, True)}
 
 
+def _hankel_corpus():
+    """Seeded polynomials of degree 0-12: small integers, rationals, odd
+    degree with a_1 = 0 (a_3 zero or not), sparse 0/+-1 coefficients
+    (stalled Routh arrays), and f(z^2) g products (whole zero rows,
+    shared even factors, vanishing even halves), some times z."""
+    rng = random.Random(1212)
+    lead = (-3, -2, -1, 1, 2, 3)
+    for i in range(420):
+        kind = i % 6
+        n = rng.randint(0, 12)
+        if kind == 0:
+            cs = [rng.choice(lead)] + [rng.randint(-4, 4) for _ in range(n)]
+        elif kind == 1:
+            cs = [Fraction(rng.choice(lead), rng.randint(1, 5))] + [
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(n)]
+        elif kind == 2:
+            n = rng.choice((3, 5, 7, 9, 11))
+            cs = [rng.choice(lead)] + [rng.randint(-3, 3) for _ in range(n)]
+            cs[1] = 0
+            cs[3] = 0 if rng.random() < 0.3 else rng.choice(lead)
+        elif kind == 3:
+            cs = [rng.choice((-1, 1))] + [rng.choice((0, 0, 1, -1))
+                                          for _ in range(n)]
+        else:
+            f = P(1, *[rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+            g = P(rng.choice(lead), *[rng.choice((0, 0, 1, -1, 2))
+                                      for _ in range(rng.randint(0, 6))])
+            p = compose_even(f) * g
+            yield times_z(p) if kind == 5 else p
+            continue
+        yield Polynomial(cs)
+
+
+def _hankel_by_series(p, cap):
+    """The old route, kept as the oracle: expand p1/p0 at infinity and
+    take both Hankel minor families by Bareiss sweeps.  Returns the
+    `minors` payload's Hankel part, or the refusal message."""
+    try:
+        R = associated_function(p)
+        r = pole_count(R)
+        order = r if cap is None else min(r, cap)
+        hk = hankel_minors(laurent_expand(R, order), order)
+    except PolyError as e:
+        return f"error: {e}\n"
+    return ([str(d) for d in hk.D], [str(d) for d in hk.Dhat], order)
+
+
+class TestHankelFromHurwitz:
+    def test_matches_the_series_route_under_every_cap(self):
+        cases = set()
+        for p in _hankel_corpus():
+            text = ",".join(str(c) for c in p.coeffs)
+            split = even_odd_split(p)
+            if not split.p0.is_zero():
+                cases.add(("e", p.degree - 1 - 2 * split.p0.degree))
+            _, aux, stalled = _routh(p.coeffs)
+            cases.add(("stalled", stalled))
+            cases.add(("zero row", aux is not None))
+            if any(c.denominator != 1 for c in p.coeffs):
+                cases.add("rational")
+            for cap in [None] + list(range(p.degree // 2 + 2)):
+                option = [] if cap is None else ["--max-order", str(cap)]
+                code, out, err = run(option + ["minors", "--", text])
+                expected = _hankel_by_series(p, cap)
+                if isinstance(expected, str):
+                    assert (code, out, err) == (3, "", expected), (p, cap)
+                    cases.add("p0 = 0" if "even half" in err else "growth")
+                    continue
+                d = json.loads(out)
+                assert (d["hankel_d"], d["hankel_dhat"],
+                        d["hankel_order"]) == expected, (p, cap)
+        assert {("e", e) for e in (-1, 0, 2)} <= cases
+        assert {"rational", ("stalled", True), ("zero row", True),
+                "p0 = 0", "growth"} <= cases, cases
+
+    def test_no_series_or_hankel_sweep(self, monkeypatch):
+        # every input whose Routh array runs through is answered from the
+        # Hurwitz chain alone, with the same bytes
+        expected, stalled = [], []
+        for p in _hankel_corpus():
+            text = ",".join(str(c) for c in p.coeffs)
+            result = run(["minors", "--", text])
+            if result[0] == 0:
+                (stalled if _routh(p.coeffs)[2] else expected).append(
+                    (text, result))
+
+        def refuse(*args):
+            raise AssertionError("second route to the Hankel minors")
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "genhurwitz":
+                continue
+            for fn in ("laurent_expand", "hankel_minors",
+                       "leading_principal_minors"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+        assert len(expected) >= 200
+        for text, result in expected:
+            assert run(["minors", "--", text]) == result, text
+        # a stalled array still takes the Bareiss sweep, so the patch bites
+        with pytest.raises(AssertionError, match="second route"):
+            run(["minors", "--", stalled[0][0]])
+
+
 class TestCfCommand:
     def test_odd_degree(self):
         d = run_json(["cf", "1,4,1,-6"])
@@ -145,6 +251,11 @@ class TestCfCommand:
         assert d["c"] == ["1/2", "2"]
         assert d["negative_poles"] == 1
         assert d["real_pole_pattern"] is True
+
+    def test_degree_one_without_a_1_is_refused(self):
+        # a_1 = 0 is a zero tail, so the ratio chain has one step, t_0
+        assert run(["cf", "1,0"]) == (
+            3, "", "error: no expansion: Delta_1 = 0\n")
 
 
 class TestStrangeCommand:

@@ -3,7 +3,10 @@
 One sha256 digest per polynomial corpus covers, for every corpus
 polynomial, the JSON of `classify(p).to_json_dict()` (keys sorted) and
 the exit code, stdout and stderr of `cli.main` for `classify`, `minors`,
-`cf` and `dual`.  `MATRIX_DIGEST` covers the exit code, stdout and stderr
+`cf` and `dual`.  `MINORS_DIGEST` covers the exit code, stdout and
+stderr of `cf` and of `minors`, uncapped and under every `--max-order`
+from 0 to floor(n/2) + 1 (one past the largest possible pole count), on
+a corpus aimed at the Hankel tables' edge cases.  `MATRIX_DIGEST` covers the exit code, stdout and stderr
 of `matrix check` on a seeded matrix corpus, with and without
 `--max-order`.  A change that moves any of those bytes changes a digest.
 Update a digest only for an intended output change, and say which bytes
@@ -29,16 +32,24 @@ from genhurwitz.classify import (
     classify,
 )
 from genhurwitz.cli import main
+from genhurwitz.minors import _routh, hurwitz_minors
 from genhurwitz.oracle import (
     StructureSpec,
     UnrealizableSpecError,
     generate_instance,
 )
-from genhurwitz.polyalg import Polynomial, compose_even, reflect, times_z
+from genhurwitz.polyalg import (
+    Polynomial,
+    compose_even,
+    even_odd_split,
+    reflect,
+    times_z,
+)
 from genhurwitz.simatrix import ExactMatrix, flip, random_tn_matrix
 
 DIGEST = "b716229e560ab068b1b7a7b941a7a1db1d9777f97050040cfb61cc38930b4fdf"
 LABEL_DIGEST = "a90b59eb384c9c7d4d8f207e0dc767b265c9ddb51f9f8fc3861813cbadf61ced"
+MINORS_DIGEST = "bdf24c8b7955a43a7d5382ba28ceedfeeb6c02efb33ae12dae2bcf1156022c07"
 MATRIX_DIGEST = "840060b168722454983bfcf1b4727cb15566c23c59620d2694f11069e4df054f"
 
 COMMANDS = ("classify", "minors", "cf", "dual")
@@ -81,6 +92,59 @@ def _label_corpus():
             continue
     for n in range(1, 9):
         yield reflect(generate_instance(StructureSpec(LABEL_STABLE, n), n))
+
+
+def _minors_corpus():
+    """Polynomials of degree 0-9 for the `minors` and `cf` commands:
+    rational coefficients; odd degree with a_1 = 0 != a_3 (p1/p0 grows
+    linearly) and with a_1 = a_3 = 0 (refused growth); vanishing even
+    halves z g(z^2); sparse 0/+-1 coefficients (stalled Routh arrays);
+    f(z^2) g products (shared even factors, whole zero rows), 30 % of
+    them times z; then a few fixed small cases."""
+    rng = random.Random(20261020)
+    lead = [-3, -2, -1, 1, 2, 3]
+    for _ in range(60):
+        yield Polynomial([Fraction(rng.choice(lead), rng.randint(1, 4))]
+                         + [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(rng.randint(0, 9))])
+    for _ in range(60):
+        n = rng.choice((3, 5, 7, 9))
+        cs = [rng.choice(lead)] + [rng.randint(-3, 3) for _ in range(n)]
+        cs[1] = 0
+        cs[3] = 0 if rng.random() < 0.4 else rng.choice(lead)
+        yield Polynomial(cs)
+    for _ in range(20):
+        g = Polynomial([rng.choice(lead)]
+                       + [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+        yield times_z(compose_even(g))
+    for _ in range(80):
+        yield Polynomial([rng.choice((-1, 1))]
+                         + [rng.choice((0, 0, 1, -1)) for _ in range(
+                             rng.randint(2, 9))])
+    for _ in range(80):
+        f = Polynomial([1] + [rng.randint(-2, 2)
+                              for _ in range(rng.randint(1, 2))])
+        g = Polynomial([rng.choice(lead)]
+                       + [rng.choice((0, 0, 1, -1, 2))
+                          for _ in range(rng.randint(0, 5))])
+        p = compose_even(f) * g
+        yield times_z(p) if rng.random() < 0.3 else p
+    for cs in ([0], [5], [1, 0], [2, 3], [1, 0, 0], [1, 0, 1, 0],
+               [1, 0, 0, 0], [1, 0, 2, 0, 1], [1, 4, 1, -6]):
+        yield Polynomial(cs)
+
+
+def minors_digest(corpus):
+    h = hashlib.sha256()
+    for p in corpus:
+        text = ",".join(str(c) for c in p.coeffs) or "0"
+        n = 0 if p.is_zero() else p.degree
+        runs = [["cf"], ["minors"]] + [
+            ["--max-order", str(k), "minors"] for k in range(n // 2 + 2)]
+        for argv in runs:
+            code, out, err = _run(argv + ["--", text])
+            h.update(f"\0{argv}\0{code}\0{out}\0{err}\0".encode())
+    return h.hexdigest()
 
 
 def _matrix_corpus():
@@ -151,6 +215,10 @@ def test_every_label_is_pinned():
     assert corpus_digest(_label_corpus()) == LABEL_DIGEST
 
 
+def test_minors_and_cf_are_pinned():
+    assert minors_digest(_minors_corpus()) == MINORS_DIGEST
+
+
 def test_matrix_check_is_pinned():
     assert matrix_digest(_matrix_corpus()) == MATRIX_DIGEST
 
@@ -171,6 +239,31 @@ def test_matrix_corpus_reaches_every_scan_outcome():
     assert outcomes == {"refused"} | {
         (kind, flag) for kind in ("definite", "tnn", "vanishing order",
                                   "class n+") for flag in (True, False)}
+
+
+def test_minors_corpus_reaches_every_case():
+    # e = n - 1 - 2 deg p0 picks the Hurwitz minors behind the Hankel
+    # tables; every e, both refusals, stalls, zero rows and shared even
+    # factors occur, and cf both answers and refuses
+    cases = set()
+    for p in _minors_corpus():
+        if p.is_zero():
+            continue
+        if any(c.denominator != 1 for c in p.coeffs):
+            cases.add("rational")
+        _, aux, stalled = _routh(p.coeffs)
+        cases.add(("stalled", stalled))
+        cases.add(("zero row", aux is not None))
+        cases.add(("shared", hurwitz_minors(p).halves_gcd.degree > 0))
+        p0 = even_odd_split(p).p0
+        cases.add(("e", "p0 = 0" if p0.is_zero()
+                   else min(p.degree - 1 - 2 * p0.degree, 4)))
+        text = ",".join(str(c) for c in p.coeffs)
+        cases.add(("cf exit", _run(["cf", "--", text])[0]))
+    assert cases == {"rational", ("cf exit", 0), ("cf exit", 3)} | {
+        (kind, flag) for kind in ("stalled", "zero row", "shared")
+        for flag in (True, False)} | {
+        ("e", e) for e in (-1, 0, 2, 4, "p0 = 0")}
 
 
 def test_pinned_corpora_reach_every_verdict():

@@ -430,6 +430,12 @@ class TestMinorTable:
         for rows in corpus:
             top = min(len(rows), len(rows[0]))
             for max_order in [None] + list(range(-1, top + 2)):
+                if max_order is not None and max_order < 1:
+                    # no minors would certify the matrix
+                    with pytest.raises(InvalidInputError,
+                                       match="^max_order out of range$"):
+                        total_nonnegativity_scan(rows, max_order)
+                    continue
                 assert (total_nonnegativity_scan(rows, max_order)
                         == _tnn_by_determinants(rows, max_order)), \
                     (rows, max_order)

@@ -1,6 +1,8 @@
 """Properties of the library source itself."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "genhurwitz"
@@ -38,3 +40,17 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_docstring_examples_hold():
+    # the suite collects tests/ only, so the docstring examples run here
+    failed, attempted = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "genhurwitz" if path.stem == "__init__" \
+            else f"genhurwitz.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        attempted += result.attempted
+        if result.failed:
+            failed.append(f"{name}: {result.failed} of {result.attempted}")
+    assert not failed, failed
+    assert attempted > 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from genhurwitz.minors import hankel_minors
+from genhurwitz.minors import hankel_minors, hurwitz_minors
 from genhurwitz.polyalg import (
     DegenerateSplitError,
     Polynomial,
@@ -190,6 +190,60 @@ class TestMinorRoute:
     def test_constant_refused(self):
         with pytest.raises(NoCFError):
             cf_from_hurwitz_minors(P(5))
+
+    def test_degree_one_without_a_1_is_refused(self):
+        # a zero tail leaves one ratio, t_0 = a_0/a_1, which needs Delta_1
+        with pytest.raises(NoCFError, match="^no expansion: Delta_1 = 0$"):
+            cf_from_hurwitz_minors(P(3, 0))
+        assert cf_from_hurwitz_minors(P(3, 2)) == StieltjesCF(
+            F(3, 2), (), "even", 0)
+
+    def test_one_chain_matches_the_parity_formulas(self):
+        rng = random.Random(2718)
+        corpus = [P(1, 0), P(2, 0, 0), P(1, 0, 1), P(1, 0, 0, 0),
+                  P(1, 0, 2, 1)]
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            cs = [rng.choice([-2, -1, 1, 2])] + [
+                rng.choice([0, 0, -1, 1, 2]) for _ in range(n)]
+            if rng.random() < 0.3:
+                cs = [F(c, rng.randint(1, 3)) for c in cs]
+            corpus.append(P(*cs))
+        outcomes = set()
+        for p in corpus:
+            try:
+                got = cf_from_hurwitz_minors(p)
+            except NoCFError as e:
+                got = str(e)
+            assert got == _cf_by_parity(p), p
+            outcomes.add((p.degree % 2, p.power_coeff(0) == 0,
+                          isinstance(got, str)))
+        assert len(outcomes) == 8
+
+
+def _cf_by_parity(p):
+    """The two-branch form of the Hurwitz minor route, kept as an oracle:
+    c_i = Delta_{i-1}^2 / (Delta_{i-2} Delta_i) for even n, c_0 = a_0/a_1
+    and c_i = Delta_i^2 / (Delta_{i-1} Delta_{i+1}) for odd n.  Returns
+    the expansion or the refusal message."""
+    delta = hurwitz_minors(p).d
+    n = p.degree
+    zero_tail = p.power_coeff(0) == 0
+    top = n - zero_tail - (n % 2)
+    if n % 2 == 0:
+        shift, c0 = -1, F(0)
+    else:
+        if delta(1) == 0:
+            return "no expansion: Delta_1 = 0"
+        shift, c0 = 0, p.coeff(0) / p.coeff(1)
+    c = []
+    for i in range(1, top + 1):
+        lo, mid, hi = (delta(i + shift - 1), delta(i + shift),
+                       delta(i + shift + 1))
+        if hi == 0:
+            return f"no expansion: Delta_{i + shift + 1} = 0"
+        c.append(mid ** 2 / (lo * hi))
+    return StieltjesCF(c0, tuple(c), "odd" if zero_tail else "even", n // 2)
 
 
 class TestReconstruct:
