@@ -50,13 +50,12 @@ from .polyalg import (
     RationalFunction,
     compose_even,
     even_odd_split,
-    laurent_expand,
     times_z,
 )
 from .minors import (
     HurwitzMinors,
+    _proper_hankel,
     _routh,
-    hankel_minors,
     hurwitz_minors,
     scf_frobenius,
     strong_sign_changes,
@@ -131,28 +130,25 @@ class RFunctionCertificate:
 def is_r_function(R: RationalFunction) -> Optional[RFunctionCertificate]:
     """Certificate if R maps the upper half plane into the lower, else None.
 
-    Criterion: after reduction the degrees differ by at most one, the
-    z-coefficient of the expansion at infinity is <= 0, and the first
-    Hankel minor family is positive through the pole count.
+    Criterion: the degrees differ by at most one, the z-coefficient of
+    num // den is <= 0, and the first Hankel minor family is positive
+    through the pole count (both from `minors._proper_hankel`).
     """
-    red = R.reduced()
-    if red.num.is_zero():
+    if R.num.is_zero():
         return RFunctionCertificate(0, (), 0, 0, False)
-    dn, dd = red.num.degree, red.den.degree
-    if abs(dn - dd) > 1:
+    if abs(R.num.degree - R.den.degree) > 1:
         return None
-    r = dd
-    series = laurent_expand(red, r)
-    if series.s_minus2 > 0:
+    q, rest = divmod(R.num, R.den)
+    if q.power_coeff(1) > 0:
         return None
-    mn = hankel_minors(series, r)
+    mn = _proper_hankel(rest, R.den)
     if any(d <= 0 for d in mn.D):
         return None
-    pole_at_zero = (red.den.power_coeff(0) == 0)
-    limit = r - 1 if pole_at_zero else r
-    negative = scf_frobenius([Fraction(1)] + list(mn.Dhat[:limit]))
-    positive = r - negative - (1 if pole_at_zero else 0)
-    return RFunctionCertificate(r, mn.D, negative, positive, pole_at_zero)
+    r = mn.order
+    pole_at_zero = r > 0 and mn.Dhat[r - 1] == 0
+    negative = scf_frobenius([Fraction(1)] + list(mn.Dhat[:r - pole_at_zero]))
+    return RFunctionCertificate(r, mn.D, negative, r - negative - pole_at_zero,
+                                pole_at_zero)
 
 
 def pole_sign_count(R: RationalFunction,
@@ -488,7 +484,7 @@ def generalized_lienard_chipart_order(p: Polynomial) -> Optional[int]:
 
 
 def new_stability_criterion(p: Polynomial) -> bool:
-    """Stability through the reflection quotient, no Hurwitz matrix at all.
+    """Stability through the reflection quotient, not p's Hurwitz matrix.
 
     Let q(z) = (-1)^n p(-z) (coefficients b_j = (-1)^j a_j) and R = q/p.
     p is stable iff R keeps full rank after reduction and the Hankel
@@ -502,12 +498,11 @@ def new_stability_criterion(p: Polynomial) -> bool:
     if n == 0:
         return True
     q = Polynomial([(-1) ** j * c for j, c in enumerate(p.coeffs)])
-    red = RationalFunction(q, p).reduced()
-    if red.den.degree < n:
+    mn = _proper_hankel(q % p, p)
+    if mn.order < n:
         # a common factor pairs a zero with its negative, or parks one on
         # the imaginary axis; either way p is not stable
         return False
-    mn = hankel_minors(laurent_expand(red, n), n)
     for j in range(1, n + 1):
         want_neg = (j * (j + 1) // 2) % 2
         d = mn.D[j - 1]

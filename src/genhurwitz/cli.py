@@ -26,7 +26,11 @@ from .polyalg import (
     _check_growth,
     _parse_token,
 )
-from .minors import hurwitz_minors, total_nonnegativity_scan
+from .minors import (
+    _hankel_from_hurwitz,
+    hurwitz_minors,
+    total_nonnegativity_scan,
+)
 from .stieltjes import cf_from_hurwitz_minors, pole_sign_summary
 from .classify import LABEL_SI, _jsonable, classify, dual_transform
 
@@ -61,11 +65,6 @@ def _cmd_classify(args) -> dict:
 def _cmd_minors(args) -> dict:
     """Hurwitz minors of p, and the Hankel minors of p1/p0 read off them.
 
-    With p0 the even half, e = n - 1 - 2 deg p0, c = lc(p0) and
-    h_k = Delta_{e+k} / (Delta_e c^k), the Hurwitz-Hankel relations give
-    D_j = h_{2j} and Dhat_j = (-1)^j h_{2j+1}, where Delta_{-1} = 1/a_0 and
-    Delta_0 = 1 (`HurwitzMinors.d`).  e = -1 for even n, 0 for odd n with
-    a_1 != 0, and 2 for odd n with a_1 = 0 != a_3 (p1/p0 grows linearly).
     Refused, in this order: p0 = 0 (`associated_function`), then e >= 4,
     growth past one linear term (`_check_growth`).  The order is the pole
     count deg p0 - deg gcd(p0, p1), capped by --max-order.
@@ -77,15 +76,14 @@ def _cmd_minors(args) -> dict:
     _check_growth(R.num, p0)
     r = p0.degree - hm.halves_gcd.degree
     order = r if args.max_order is None else min(r, args.max_order)
-    e, c = p.degree - 1 - 2 * p0.degree, p0.coeffs[0]
-    h = [hm.d(e + k) / (hm.d(e) * c ** k) for k in range(2, 2 * order + 2)]
+    mn = _hankel_from_hurwitz(hm, p.degree - 1 - 2 * p0.degree,
+                              p0.coeffs[0], order)
     return {
         "degree": p.degree,
         "delta": [str(d) for d in hm.delta],
         "eta": [str(x) for x in hm.eta],
-        "hankel_d": [str(x) for x in h[0::2]],
-        "hankel_dhat": [str(-x if j % 2 else x)
-                        for j, x in enumerate(h[1::2], 1)],
+        "hankel_d": [str(x) for x in mn.D],
+        "hankel_dhat": [str(x) for x in mn.Dhat],
         "hankel_order": order,
     }
 

@@ -3,10 +3,10 @@
 Exact determinants (fraction-free Bareiss over the integers), the Hankel
 minor families D_j and Dhat_j of a series at infinity, Hurwitz minors of a
 polynomial (a fraction-free Routh array, with Bareiss only where an entry
-of the array stalls), the interleaved minors of a polynomial pair,
-Frobenius-rule sign change counting, and the table of all minors of a
-matrix (integer Laplace expansion, order by order) that the total
-nonnegativity and sign definiteness scans read.
+of the array stalls) and the Hankel minors read off them, the interleaved
+minors of a polynomial pair, Frobenius-rule sign change counting, and the
+table of all minors of a matrix (integer Laplace expansion, order by
+order) that the total nonnegativity and sign definiteness scans read.
 
 No floats here either; every sign that leaves this module is exact.
 """
@@ -21,12 +21,14 @@ from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .polyalg import (
+    EvenOddSplit,
     InvalidInputError,
     LaurentSeries,
     Polynomial,
     _rat,
     even_odd_split,
     poly_gcd,
+    recompose_split,
 )
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "hurwitz_minors", "nabla_minors", "scf_frobenius",
     "strong_sign_changes", "total_nonnegativity_scan",
     "hankel_character_test", "finite_hurwitz_matrix",
-    "infinite_hurwitz_block",
 ]
 
 SCAN_CAP = 8     # largest dimension the exhaustive minor scans take
@@ -178,7 +179,8 @@ def hankel_minors(series: LaurentSeries, order: int) -> HankelMinors:
     D_order consumes s_0..s_{2*order-2} and Dhat_order consumes
     s_1..s_{2*order-1}, so the series must carry 2*order terms.  Each
     family is the leading principal chain of one Hankel matrix, taken in
-    a single sweep.
+    a single sweep.  The reference series route: no verdict path calls
+    it, they read the minors off a Hurwitz chain (`_hankel_from_hurwitz`).
     """
     if order < 0:
         raise InvalidInputError("negative Hankel order")
@@ -224,14 +226,6 @@ def finite_hurwitz_matrix(p: Polynomial) -> List[List[Fraction]]:
     # row t is a stride-2 slice of the coefficients padded with one shared 0
     a = [_ZERO] * n + list(p.coeffs) + [_ZERO] * n
     return [a[n + 1 - t:3 * n + 1 - t:2] for t in range(n)]
-
-
-def infinite_hurwitz_block(p: Polynomial, size: int) -> List[List[Fraction]]:
-    """Leading block of the doubly infinite layout: row t, col c is a_{2c-t}."""
-    if p.is_zero():
-        raise InvalidInputError("Hurwitz block of the zero polynomial")
-    a = [_ZERO] * size + list(p.coeffs) + [_ZERO] * (2 * size)
-    return [a[size - t:3 * size - t:2] for t in range(size)]
 
 
 def _routh(coeffs: Sequence[Fraction]):
@@ -346,6 +340,26 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
     a0 = p.coeffs[0]
     return HurwitzMinors(delta, tuple([a0] + [a0 * d for d in delta]), n,
                          halves_gcd)
+
+
+def _hankel_from_hurwitz(hm: HurwitzMinors, e: int, c: Fraction,
+                         order: int) -> HankelMinors:
+    """Hankel minors of p1/p0 through `order`, off p's Hurwitz chain: with
+    e = n - 1 - 2 deg p0 (-1, 0 or 2) and c = lc(p0), D_j = h_{2j} and
+    Dhat_j = (-1)^j h_{2j+1} for h_k = Delta_{e+k} / (Delta_e c^k), by the
+    Hurwitz-Hankel relations (Delta_{-1} = 1/a_0, Delta_0 = 1)."""
+    h = [hm.d(e + k) / (hm.d(e) * c ** k) for k in range(2, 2 * order + 2)]
+    return HankelMinors(tuple(h[0::2]), tuple(
+        -x if j % 2 else x for j, x in enumerate(h[1::2], 1)), order)
+
+
+def _proper_hankel(rest: Polynomial, den: Polynomial) -> HankelMinors:
+    """Hankel minors of rest/den (deg rest < deg den) through the pole
+    count r = deg den - deg gcd: it is p1/p0 of den(z^2) + z rest(z^2), with
+    e = -1.  den reduced has a root at 0 iff Dhat_r = 0."""
+    hm = hurwitz_minors(recompose_split(EvenOddSplit(den, rest)))
+    return _hankel_from_hurwitz(hm, -1, den.coeffs[0],
+                                den.degree - hm.halves_gcd.degree)
 
 
 # ---------------------------------------------------------------------------

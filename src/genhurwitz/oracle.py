@@ -28,9 +28,9 @@ from .polyalg import (
     InvalidInputError,
     Polynomial,
     RationalFunction,
+    _check_growth,
     compose_even,
     even_odd_split,
-    laurent_expand,
     reflect,
     times_z,
 )
@@ -684,9 +684,9 @@ def numeric_partial_fractions(R: RationalFunction) -> NumericPartialFraction:
     red = R.reduced()
     if red.den.degree == 0:
         raise InvalidInputError("no poles to decompose")
-    series = laurent_expand(red, 0)
-    alpha = -float(series.s_minus2)
-    beta = float(series.s_minus1)
+    _check_growth(red.num, red.den)
+    q = red.num // red.den
+    alpha, beta = -float(q.power_coeff(1)), float(q.power_coeff(0))
     roots = numeric_roots(red.den)
     poles = []
     for z in roots:

@@ -7,11 +7,12 @@ Hankel minors are nonzero, as
 
 terminating in c_{2r} (even tail) or in c_{2r-1} u (odd tail; exactly the
 case of a pole at the origin).  The partial coefficients come from the
-two Hankel minor families, and for the split quotient p1/p0 of a
-polynomial they come equally from one chain of ratios of its Hurwitz
-minors, t_m = Delta_m^2 / (Delta_{m-1} Delta_{m+1}) (c = t for even
-degree, c_0 = t_0 and c = t[1:] for odd).  Each function runs one route;
-the tests check that the two routes agree.
+two Hankel minor families, read off the Hurwitz chain of
+den(z^2) + z (num mod den)(z^2) (`minors._proper_hankel`), and for the
+split quotient p1/p0 of a polynomial from one chain of ratios of p's
+Hurwitz minors, t_m = Delta_m^2 / (Delta_{m-1} Delta_{m+1}) (c = t for
+even degree, c_0 = t_0 and c = t[1:] for odd).  The tests check both
+against the series route (`laurent_expand`, `hankel_minors`).
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .polyalg import (
     InvalidInputError,
     Polynomial,
     RationalFunction,
-    laurent_expand,
+    _check_growth,
+    poly_gcd,
 )
-from .minors import hankel_minors, hurwitz_minors
+from .minors import _proper_hankel, hurwitz_minors
 
 __all__ = [
     "NoCFError", "StieltjesCF", "ExtendedCF", "stieltjes_expand",
@@ -75,23 +77,20 @@ def stieltjes_expand(R: RationalFunction) -> StieltjesCF:
     Existence needs D_j != 0 for j <= r and Dhat_j != 0 for j <= r-1;
     Dhat_r = 0 is legal and flips the tail to odd (pole at the origin).
     """
-    red = R.reduced()
-    if not red.num.is_zero() and red.num.degree > red.den.degree:
+    q, rest = divmod(R.num, R.den)
+    if q.degree > 0:
         raise NoCFError("function is not finite at infinity")
-    r = red.den.degree
-    series = laurent_expand(red, r)
-    c0 = series.s_minus1
+    c0 = q.power_coeff(0)
+    mn = _proper_hankel(rest, R.den)
+    r = mn.order
     if r == 0:
         return StieltjesCF(c0, (), "even", 0)
-    mn = hankel_minors(series, r)
-    for j in range(1, r + 1):
-        if mn.D[j - 1] == 0:
-            raise NoCFError(f"no expansion: D_{j} = 0")
-    for j in range(1, r):
-        if mn.Dhat[j - 1] == 0:
-            raise NoCFError(f"no expansion: Dhat_{j} = 0")
+    for name, chain in (("D", mn.D), ("Dhat", mn.Dhat[:r - 1])):
+        for j, x in enumerate(chain, 1):
+            if x == 0:
+                raise NoCFError(f"no expansion: {name}_{j} = 0")
     # a pole at the origin is exactly a vanishing Dhat_r
-    zero_pole = (red.den.power_coeff(0) == 0)
+    zero_pole = (mn.Dhat[r - 1] == 0)
     c = []
     for j in range(1, r + 1):
         c.append(mn.dhat(j - 1) ** 2 / (mn.d(j - 1) * mn.d(j)))   # c_{2j-1}
@@ -102,11 +101,12 @@ def stieltjes_expand(R: RationalFunction) -> StieltjesCF:
 
 def extended_expand(R: RationalFunction) -> ExtendedCF:
     """Split off the linear growth, then expand the proper remainder."""
-    red = R.reduced()
-    s_m2 = laurent_expand(red, 0).s_minus2
-    u = Polynomial([1, 0])
-    proper = red - (u * s_m2)
-    return ExtendedCF(-s_m2, stieltjes_expand(proper))
+    q = R.num // R.den
+    if q.degree > 1:
+        g = poly_gcd(R.num, R.den)
+        _check_growth(R.num // g, R.den // g)
+    s_m2 = q.power_coeff(1)
+    return ExtendedCF(-s_m2, stieltjes_expand(R - Polynomial([s_m2, 0])))
 
 
 def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
@@ -141,11 +141,9 @@ def cf_reconstruct(cf: Union[StieltjesCF, ExtendedCF]) -> RationalFunction:
 
     stieltjes_expand(cf_reconstruct(cf)) == cf round-trips exactly.
     """
-    if isinstance(cf, ExtendedCF):
-        inner = cf_reconstruct(cf.inner)
-        u = Polynomial([1, 0])
-        return inner - (u * cf.c_minus1)
     u = Polynomial([1, 0])
+    if isinstance(cf, ExtendedCF):
+        return cf_reconstruct(cf.inner) - (u * cf.c_minus1)
     one = Polynomial([1])
     if not cf.c:
         return RationalFunction(Polynomial([cf.c0]), one)

@@ -42,6 +42,14 @@ from genhurwitz.classify import (
     subsample_family,
 )
 
+from test_golden import (
+    outcome,
+    refuse_series_route,
+    rfunc_corpus,
+    stability_corpus,
+    stalled,
+)
+
 F = Fraction
 
 
@@ -291,6 +299,25 @@ class TestRFunctionHelpers:
         cert = is_r_function(RF([2, -1], [1, -1, -2]))
         assert cert is not None
         assert (cert.negative_pole_count, cert.positive_pole_count) == (1, 1)
+
+    def test_no_euclid_series_or_sweep(self, monkeypatch):
+        # certificates, pole counts and the stability verdict come from one
+        # Routh array; a stalled array may take the Euclid on the halves
+        functions = [R for R in rfunc_corpus() if not stalled(R.num, R.den)]
+        polys = [p for p in stability_corpus()
+                 if not stalled(Polynomial(
+                     [(-1) ** j * c for j, c in enumerate(p.coeffs)]), p)]
+        expected = [(outcome(is_r_function, R), outcome(pole_sign_count, R))
+                    for R in functions]
+        verdicts = [new_stability_criterion(p) for p in polys]
+        assert len(functions) < len(list(rfunc_corpus()))
+        assert len(polys) < len(list(stability_corpus()))
+        refuse_series_route(monkeypatch)
+        for R, (cert, counts) in zip(functions, expected):
+            assert outcome(is_r_function, R) == cert, R
+            assert outcome(pole_sign_count, R) == counts, R
+        assert [new_stability_criterion(p) for p in polys] == verdicts
+        assert set(verdicts) == {True, False}
 
 
 class TestStructuredFamilies:
@@ -542,13 +569,9 @@ class TestDerivedSplits:
         def refuse(*args):
             raise AssertionError("a second kernel ran")
         stalls = [_routh(p.coeffs)[2] for p in _split_inputs()]
-        for module, name in (("minors", "poly_gcd"),
-                             ("polyalg", "poly_gcd"),
-                             ("classify", "laurent_expand"),
-                             ("classify", "hankel_minors"),
-                             ("minors", "leading_principal_minors")):
-            monkeypatch.setattr(sys.modules[f"genhurwitz.{module}"], name,
-                                refuse)
+        refuse_series_route(monkeypatch)
+        monkeypatch.setattr(sys.modules["genhurwitz.minors"],
+                            "leading_principal_minors", refuse)
         reached = set()
         for p, stalled in zip(_split_inputs(), stalls):
             if stalled:

@@ -19,7 +19,6 @@ from genhurwitz.polyalg import (
     compose_even,
     even_odd_split,
     laurent_expand,
-    pole_count,
     times_z,
 )
 
@@ -114,7 +113,7 @@ class TestMinorsCommand:
             if even_odd_split(p).p0.is_zero():
                 continue
             R = associated_function(p)
-            r = pole_count(R)
+            r = R.reduced().den.degree
             try:
                 laurent_expand(R, r)
             except PolyError:       # refused whatever the pole count
@@ -173,7 +172,7 @@ def _hankel_by_series(p, cap):
     `minors` payload's Hankel part, or the refusal message."""
     try:
         R = associated_function(p)
-        r = pole_count(R)
+        r = R.reduced().den.degree
         order = r if cap is None else min(r, cap)
         hk = hankel_minors(laurent_expand(R, order), order)
     except PolyError as e:
@@ -436,6 +435,27 @@ class TestExitCodes:
     def test_errors_leave_stdout_empty(self):
         _, out, _ = run(["classify", "1,2.5,1"])
         assert out == ""
+
+    @pytest.mark.parametrize("token", ["7" * 5000, "-1/" + "3" * 5000],
+                             ids=["numerator", "denominator"])
+    def test_over_long_token_is_malformed(self, token):
+        # past CPython's int-to-str digit limit the token is named by its
+        # position and digit count, not echoed
+        limit = sys.get_int_max_str_digits()
+        for argv in (["classify", f"1,{token},1"], ["minors", f"1,{token},1"],
+                     ["matrix", "check", token]):
+            code, out, err = run(argv[:-1] + ["--", argv[-1]])
+            assert (code, out) == (2, ""), argv
+            assert "5000 digits" in err and f"{limit}-digit" in err, err
+            assert token not in err
+        assert "coefficient token 2 " in run(["cf", f"1,{token}"])[2]
+
+    def test_non_decimal_digits_are_malformed(self):
+        # str.isdigit accepts superscripts, which Fraction refuses
+        for text in ("1,\u00b2", "1,1/\u00b2"):
+            code, out, err = run(["classify", text])
+            assert (code, out) == (2, "")
+            assert "bad coefficient token" in err
 
 
 def test_console_script_round_trip():

@@ -8,7 +8,11 @@ stderr of `cf` and of `minors`, uncapped and under every `--max-order`
 from 0 to floor(n/2) + 1 (one past the largest possible pole count), on
 a corpus aimed at the Hankel tables' edge cases.  `MATRIX_DIGEST` covers the exit code, stdout and stderr
 of `matrix check` on a seeded matrix corpus, with and without
-`--max-order`.  A change that moves any of those bytes changes a digest.
+`--max-order`.  `RFUNC_DIGEST` covers the return value, or the
+exception type and message, of `stieltjes_expand`, `extended_expand`,
+`is_r_function` and `pole_sign_count` on a seeded rational-function
+corpus, and of `new_stability_criterion` on a seeded polynomial corpus.
+A change that moves any of those bytes changes a digest.
 Update a digest only for an intended output change, and say which bytes
 moved and why.
 """
@@ -18,6 +22,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 from genhurwitz.classify import (
@@ -30,6 +35,9 @@ from genhurwitz.classify import (
     LABEL_STABLE,
     LABELS,
     classify,
+    is_r_function,
+    new_stability_criterion,
+    pole_sign_count,
 )
 from genhurwitz.cli import main
 from genhurwitz.minors import _routh, hurwitz_minors
@@ -37,20 +45,28 @@ from genhurwitz.oracle import (
     StructureSpec,
     UnrealizableSpecError,
     generate_instance,
+    generate_r_function,
 )
 from genhurwitz.polyalg import (
+    EvenOddSplit,
+    PolyError,
     Polynomial,
+    RationalFunction,
     compose_even,
     even_odd_split,
+    poly_gcd,
+    recompose_split,
     reflect,
     times_z,
 )
 from genhurwitz.simatrix import ExactMatrix, flip, random_tn_matrix
+from genhurwitz.stieltjes import extended_expand, stieltjes_expand
 
 DIGEST = "b716229e560ab068b1b7a7b941a7a1db1d9777f97050040cfb61cc38930b4fdf"
 LABEL_DIGEST = "a90b59eb384c9c7d4d8f207e0dc767b265c9ddb51f9f8fc3861813cbadf61ced"
 MINORS_DIGEST = "bdf24c8b7955a43a7d5382ba28ceedfeeb6c02efb33ae12dae2bcf1156022c07"
 MATRIX_DIGEST = "840060b168722454983bfcf1b4727cb15566c23c59620d2694f11069e4df054f"
+RFUNC_DIGEST = "48180bab9f60554df74ce19ae662b35fa15e0df34bb85c5578e3c9ca67d28d55"
 
 COMMANDS = ("classify", "minors", "cf", "dual")
 
@@ -186,6 +202,102 @@ def matrix_digest(corpus):
     return h.hexdigest()
 
 
+def rfunc_corpus():
+    """Rational functions num/den for the R-function APIs: generated
+    R-functions (`generate_r_function`; rational entries, poles at 0,
+    linear growth), each again with the factor u + 2 shared by num and
+    den; random quotients with deg num - deg den from -2 to 2 (growth past
+    one term), half of them sparse 0/+-1 (stalled Routh arrays), a fifth
+    with a shared linear factor; then a zero numerator, constant
+    denominators and a few fixed small cases."""
+    rng = random.Random(20261021)
+    shared = Polynomial([1, 2])
+    for seed in range(50):
+        R = generate_r_function(seed).function
+        yield R
+        yield RationalFunction(R.num * shared, R.den * shared)
+    lead = (-3, -2, -1, 1, 2, 3)
+    for i in range(150):
+        m = rng.randint(0, 4)
+        if i % 2:
+            def pick():
+                return rng.choice((0, 0, 1, -1))
+        else:
+            def pick():
+                return rng.randint(-3, 3)
+        den = Polynomial([rng.choice(lead)] + [pick() for _ in range(m)])
+        num = Polynomial([rng.choice(lead)] + [
+            pick() for _ in range(max(m + rng.randint(-2, 2), 0))])
+        if i % 5 == 0:
+            f = Polynomial([1, rng.randint(-2, 2)])
+            num, den = num * f, den * f
+        yield RationalFunction(num, den)
+    for num, den in (([], [1, 1]), ([], [3]), ([5], [2]), ([1, 2], [3]),
+                     ([1, 2, 3], [2]), ([1], [1, 0]), ([1, 0, 1], [1, 0]),
+                     ([1, 1], [1, 0, -1]), ([1], [1, 0, -1]),
+                     ([Fraction(1, 3), Fraction(-2, 5)],
+                      [Fraction(3, 4), 1, Fraction(1, 7)])):
+        yield RationalFunction(Polynomial(num), Polynomial(den))
+
+
+def stability_corpus():
+    """Polynomials of degree 1-8 for `new_stability_criterion`: generated
+    stable instances and their reflections, products with a shared even
+    factor (a zero paired with its negative), random small integers and
+    sparse 0/+-1 coefficients."""
+    rng = random.Random(20261022)
+    for n in range(1, 9):
+        p = generate_instance(StructureSpec(LABEL_STABLE, n), n)
+        yield p
+        yield reflect(p)
+        yield p * compose_even(Polynomial([1, rng.randint(-2, 2)]))
+    for i in range(80):
+        n = rng.randint(1, 8)
+        pool = (0, 0, 1, -1) if i % 2 else (-3, -2, -1, 0, 1, 2, 3)
+        yield Polynomial([rng.choice((-2, -1, 1, 2))]
+                         + [rng.choice(pool) for _ in range(n)])
+
+
+def outcome(fn, arg):
+    """repr of fn(arg), or the type and message of its refusal."""
+    try:
+        return repr(fn(arg))
+    except PolyError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def stalled(num, den):
+    """Whether the Routh array of den(z^2) + z (num mod den)(z^2) stalls."""
+    rest = divmod(num, den)[1]
+    return _routh(recompose_split(EvenOddSplit(den, rest)).coeffs)[2]
+
+
+def refuse_series_route(monkeypatch):
+    """Make the old route to the Hankel minors raise at every binding:
+    `RationalFunction.reduced`, `poly_gcd`, `laurent_expand` and
+    `hankel_minors`."""
+    def refuse(*args):
+        raise AssertionError("the Euclid or series route ran")
+    monkeypatch.setattr(RationalFunction, "reduced", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "genhurwitz":
+            continue
+        for fn in ("poly_gcd", "laurent_expand", "hankel_minors"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, refuse)
+
+
+def rfunc_digest(functions, polynomials):
+    h = hashlib.sha256()
+    for R in functions:
+        for fn in (stieltjes_expand, extended_expand, is_r_function,
+                   pole_sign_count):
+            h.update(f"\0{fn.__name__}\0{outcome(fn, R)}\0".encode())
+    for p in polynomials:
+        h.update(f"\0{outcome(new_stability_criterion, p)}\0".encode())
+    return h.hexdigest()
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -221,6 +333,41 @@ def test_minors_and_cf_are_pinned():
 
 def test_matrix_check_is_pinned():
     assert matrix_digest(_matrix_corpus()) == MATRIX_DIGEST
+
+
+def test_r_function_apis_are_pinned():
+    assert rfunc_digest(rfunc_corpus(), stability_corpus()) == RFUNC_DIGEST
+
+
+def test_rfunc_corpora_reach_every_case():
+    cases = set()
+    for R in rfunc_corpus():
+        num, den = R.num, R.den
+        q = num // den
+        if any(c.denominator != 1 for c in num.coeffs + den.coeffs):
+            cases.add("rational")
+        if num.is_zero():
+            cases.add("zero numerator")
+            continue
+        if den.degree == 0:
+            cases.add("constant denominator")
+        cases.add(("shared", poly_gcd(num, den).degree > 0))
+        cases.add(("growth", min(max(q.degree, 0), 2)))
+        cases.add(("stalled", stalled(num, den)))
+        red = R.reduced()
+        if red.den.degree > 0 and red.den.power_coeff(0) == 0:
+            cases.add("pole at 0")
+        cases.add(("r-function", is_r_function(R) is not None))
+        cases.add(("expands", "Error" not in outcome(stieltjes_expand, R)))
+    for p in stability_corpus():
+        q = Polynomial([(-1) ** j * c for j, c in enumerate(p.coeffs)])
+        cases.add(("paired zeros", poly_gcd(q, p).degree > 0))
+        cases.add(("stable", new_stability_criterion(p)))
+    assert cases == {"rational", "zero numerator", "constant denominator",
+                     "pole at 0"} | {("growth", g) for g in (0, 1, 2)} | {
+        (kind, flag) for kind in ("shared", "stalled", "r-function",
+                                  "expands", "paired zeros", "stable")
+        for flag in (True, False)}
 
 
 def test_matrix_corpus_reaches_every_scan_outcome():

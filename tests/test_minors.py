@@ -31,7 +31,6 @@ from genhurwitz.minors import (
     hankel_character_test,
     hankel_minors,
     hurwitz_minors,
-    infinite_hurwitz_block,
     leading_principal_minors,
     nabla_minors,
     scf_frobenius,
@@ -44,6 +43,13 @@ F = Fraction
 
 def P(*cs):
     return Polynomial(list(cs))
+
+
+def infinite_hurwitz_block(p, size):
+    """Leading block of the doubly infinite Hurwitz layout, the oracle for
+    `HurwitzMinors.eta`: row t, column c holds a_{2c-t}."""
+    a = [F(0)] * size + list(p.coeffs) + [F(0)] * (2 * size)
+    return [a[size - t:3 * size - t:2] for t in range(size)]
 
 
 def series_of(num, den, pairs):

@@ -26,7 +26,6 @@ from genhurwitz.minors import (
     finite_hurwitz_matrix,
     hankel_minors,
     hurwitz_minors,
-    infinite_hurwitz_block,
     leading_principal_minors,
     scf_frobenius,
     strong_sign_changes,
@@ -39,6 +38,8 @@ from genhurwitz.classify import (
     dual_transform,
 )
 from genhurwitz.simatrix import ExactMatrix, char_poly, flip
+
+from test_minors import infinite_hurwitz_block
 
 F = Fraction
 

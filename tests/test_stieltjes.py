@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from genhurwitz.minors import hankel_minors, hurwitz_minors
+from genhurwitz.minors import _proper_hankel, hankel_minors, hurwitz_minors
 from genhurwitz.polyalg import (
     DegenerateSplitError,
     Polynomial,
@@ -25,6 +25,8 @@ from genhurwitz.stieltjes import (
     pole_sign_summary,
     stieltjes_expand,
 )
+
+from test_golden import outcome, refuse_series_route, rfunc_corpus, stalled
 
 F = Fraction
 
@@ -96,24 +98,43 @@ class TestStieltjesExpand:
                 pass
         assert tails == {("odd", True), ("even", False)}
 
-    def test_one_euclid_per_expansion(self, monkeypatch):
-        # the pole count is read off the reduced denominator, not
-        # recomputed by a second reduction
-        calls = []
+    def test_no_euclid_series_or_sweep(self, monkeypatch):
+        # both expansions read R's minors off one Routh array; only the
+        # growth refusal of extended_expand reduces R, and a stalled array
+        # may take the Euclid on the halves
+        inputs = [R for R in rfunc_corpus() if not stalled(R.num, R.den)]
+        expected = [(outcome(stieltjes_expand, R), outcome(extended_expand, R))
+                    for R in inputs]
+        assert len(inputs) < len(list(rfunc_corpus()))
+        refuse_series_route(monkeypatch)
+        growth = []
+        for R, (cf, ext) in zip(inputs, expected):
+            assert outcome(stieltjes_expand, R) == cf, R
+            if R.num.degree > R.den.degree + 1:
+                growth.append(R)
+            else:
+                assert outcome(extended_expand, R) == ext, R
+        with pytest.raises(AssertionError, match="series route"):
+            extended_expand(growth[0])
 
-        def counting(a, b):
-            calls.append(a)
-            return poly_gcd(a, b)
-        monkeypatch.setattr("genhurwitz.polyalg.poly_gcd", counting)
-        for R in (RF([2], [1, 1]), RF([1, 1], [4, -6]), RF([1], [1, 0]),
-                  RF([1, 1], [1, 0, -1])):      # the last cancels to 1/(u-1)
-            calls.clear()
-            stieltjes_expand(R)
-            assert len(calls) == 1, R
-        calls.clear()
-        with pytest.raises(NoCFError):
-            stieltjes_expand(RF([1], [1, 0, -1]))
-        assert len(calls) == 1
+
+class TestHankelFromHurwitz:
+    def test_matches_the_series_route(self):
+        # the old route is the oracle: reduce by a Euclid, expand at
+        # infinity, two Bareiss sweeps; past one linear term of growth it
+        # expands num mod den, whose minors are R's
+        for R in rfunc_corpus():
+            q, rest = divmod(R.num, R.den)
+            mn = _proper_hankel(rest, R.den)
+            red = (R if q.degree <= 1 else RationalFunction(rest, R.den)
+                   ).reduced()
+            r = red.den.degree
+            series = laurent_expand(red, r)
+            ref = hankel_minors(series, r)
+            assert (mn.D, mn.Dhat, mn.order) == (ref.D, ref.Dhat, r), R
+            if q.degree <= 1:
+                assert (q.power_coeff(1), q.power_coeff(0)) == (
+                    series.s_minus2, series.s_minus1), R
 
 
 class TestMinorRoute:
