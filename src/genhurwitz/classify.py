@@ -40,12 +40,14 @@ even factor (see `_real_nonpositive_u_roots`).  Nothing is memoized.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polyalg import (
     InvalidInputError,
+    PolyError,
     Polynomial,
     RationalFunction,
     compose_even,
@@ -81,10 +83,21 @@ LABELS = (LABEL_STABLE, LABEL_QUASI, LABEL_SI, LABEL_ALMOST_SI,
 
 
 def _jsonable(value):
+    """The payload with its exact values as text, the one place they
+    become text: one past CPython's int-to-str digit limit is refused by
+    its digit count (n has d - 1 or d for d = floor(bits log10 2) + 1)."""
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            n = max(abs(value.numerator), value.denominator)
+            d = int(n.bit_length() * 0.30102999566398120) + 1
+            raise PolyError(
+                f"an exact result has {d - (n < 10 ** (d - 1))} digits, past "
+                f"the {sys.get_int_max_str_digits()}-digit limit of exact "
+                "integer conversion") from None
     if isinstance(value, Polynomial):
-        return [str(c) for c in value.coeffs]
+        return _jsonable(value.coeffs)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

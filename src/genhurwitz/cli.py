@@ -22,6 +22,7 @@ from .polyalg import (
     PolyError,
     Polynomial,
     associated_function,
+    format_polynomial,
     parse_polynomial,
     _check_growth,
     _parse_token,
@@ -80,10 +81,10 @@ def _cmd_minors(args) -> dict:
                               p0.coeffs[0], order)
     return {
         "degree": p.degree,
-        "delta": [str(d) for d in hm.delta],
-        "eta": [str(x) for x in hm.eta],
-        "hankel_d": [str(x) for x in mn.D],
-        "hankel_dhat": [str(x) for x in mn.Dhat],
+        "delta": hm.delta,
+        "eta": hm.eta,
+        "hankel_d": mn.D,
+        "hankel_dhat": mn.Dhat,
         "hankel_order": order,
     }
 
@@ -93,8 +94,8 @@ def _cmd_cf(args) -> dict:
     cf = cf_from_hurwitz_minors(p)
     negatives, real_pattern = pole_sign_summary(cf)
     return {
-        "c0": str(cf.c0),
-        "c": [str(v) for v in cf.c],
+        "c0": cf.c0,
+        "c": cf.c,
         "tail": cf.tail,
         "r": cf.r,
         "negative_poles": negatives,
@@ -104,8 +105,7 @@ def _cmd_cf(args) -> dict:
 
 
 def _cmd_dual(args) -> str:
-    q = dual_transform(_poly(args.coeffs))
-    return ",".join(str(c) for c in q.coeffs)
+    return format_polynomial(dual_transform(_poly(args.coeffs)))
 
 
 def _cmd_strange(args) -> dict:
@@ -146,7 +146,7 @@ def _cmd_sweep(args) -> dict:
     for alpha, p in samples:
         rep = classify(p)
         orders.append(rep.order_k)
-        reports.append({"alpha": str(alpha), "report": rep.to_json_dict()})
+        reports.append({"alpha": alpha, "report": rep.to_json_dict()})
     transitions = []
     prev_idx = None
     for i, k in enumerate(orders):
@@ -227,7 +227,7 @@ def _cmd_matrix(args) -> dict:
     from . import simatrix as sm
     if args.action == "build":
         M = _parse_spec(args.spec, args.seed)
-        return {"n": M.n, "rows": [[str(x) for x in row] for row in M.rows]}
+        return {"n": M.n, "rows": M.rows}
     M = _matrix_from_rows(args.spec)
     # first, so an input past the scan cap or a bad order costs nothing more
     sig = sm.signature_scan(M, args.max_order)
@@ -235,8 +235,8 @@ def _cmd_matrix(args) -> dict:
     report = classify(cp)
     out = {
         "n": M.n,
-        "rows": [[str(x) for x in row] for row in M.rows],
-        "char_poly": [str(c) for c in cp.coeffs],
+        "rows": M.rows,
+        "char_poly": cp,
         "classification": report.to_json_dict(),
         "si_spectrum": report.label == LABEL_SI,
         "signature": {
@@ -244,7 +244,9 @@ def _cmd_matrix(args) -> dict:
             "definite": sig.definite,
             "checked_order": sig.checked_order,
         },
-        "totally_nonnegative": total_nonnegativity_scan(M.rows).ok,
+        # the signature scan saw every minor unless a cap stopped it
+        "totally_nonnegative": sig.definite and -1 not in sig.signs and (
+            sig.checked_order == M.n or total_nonnegativity_scan(M.rows).ok),
         "entries_condition": sm.entries_condition(M),
         "class_n_plus": sm.class_n_plus_check(M),
     }
@@ -252,10 +254,8 @@ def _cmd_matrix(args) -> dict:
         order, first, second = sig.witness
         out["signature"]["witness"] = {
             "order": order,
-            "first": {"rows": list(first[0]), "cols": list(first[1]),
-                      "value": str(first[2])},
-            "second": {"rows": list(second[0]), "cols": list(second[1]),
-                       "value": str(second[2])},
+            "first": dict(zip(("rows", "cols", "value"), first)),
+            "second": dict(zip(("rows", "cols", "value"), second)),
         }
     try:
         out["anti_tridiagonal"] = sm.anti_tridiagonal_criterion(M)
@@ -326,14 +326,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         payload = args.handler(args)
+        text = json.dumps(_jsonable(payload), sort_keys=True,
+                          indent=2 if args.pretty else None)
     except _BadToken as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (PolyError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    indent = 2 if args.pretty else None
-    print(json.dumps(_jsonable(payload), sort_keys=True, indent=indent))
+    print(text)
     return 0
 
 

@@ -2,11 +2,11 @@
 
 Exact determinants (fraction-free Bareiss over the integers), the Hankel
 minor families D_j and Dhat_j of a series at infinity, Hurwitz minors of a
-polynomial (a fraction-free Routh array, with Bareiss only where an entry
-of the array stalls) and the Hankel minors read off them, the interleaved
-minors of a polynomial pair, Frobenius-rule sign change counting, and the
-table of all minors of a matrix (integer Laplace expansion, order by
-order) that the total nonnegativity and sign definiteness scans read.
+polynomial (a fraction-free Routh array) with the Hankel minors and the
+interleaved minors of a pair read off them, Frobenius-rule sign change
+counting, and the table of all minors of a matrix (integer Laplace
+expansion, order by order) that the total nonnegativity and sign
+definiteness scans read.
 
 No floats here either; every sign that leaves this module is exact.
 """
@@ -308,10 +308,10 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
       Toeplitz matrix of f, so Delta_j(p) = lc(f)^j Delta_j(q), and the
       last column of H(q)'s j-block holds a_j(q)..a_{2j-1}(q), all 0 for
       j > deg q; Delta_{k+1} = F_{k+1}[0] = 0 covers e = 1.
-    - A zero first entry in a nonzero row (an entry stall, possible only
-      for n >= 3): past it the rows are no longer Hurwitz minors (the
-      Fraction form of the step divides by that entry), so the whole
-      chain comes from the Bareiss sweep of the finite matrix instead.
+    - A zero first entry F_k[0] in a nonzero row (an entry stall, only
+      for n >= 3): Delta_k = 0, but past it the rows are no longer Hurwitz
+      minors (the Fraction form of the step divides by that entry), so
+      each of Delta_{k+1}..Delta_n is its own determinant.
       `halves_gcd` is then 1 when Delta_{n-1} != 0: by Orlando's formula,
       Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1} prod_{i<j} (z_i + z_j)
       vanishes exactly when two zeros sum to zero, which is when p0 and
@@ -327,7 +327,9 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
     n = p.degree
     found, aux, stalled = _routh(p.coeffs)
     if stalled:
-        delta = tuple(leading_principal_minors(finite_hurwitz_matrix(p)))
+        H = finite_hurwitz_matrix(p)
+        delta = (*found, _ZERO, *(exact_det([row[:k] for row in H[:k]])
+                                  for k in range(len(found) + 2, n + 1)))
         if delta[n - 2] != 0:
             halves_gcd = Polynomial([1])
         else:
@@ -353,13 +355,18 @@ def _hankel_from_hurwitz(hm: HurwitzMinors, e: int, c: Fraction,
         -x if j % 2 else x for j, x in enumerate(h[1::2], 1)), order)
 
 
-def _proper_hankel(rest: Polynomial, den: Polynomial) -> HankelMinors:
-    """Hankel minors of rest/den (deg rest < deg den) through the pole
-    count r = deg den - deg gcd: it is p1/p0 of den(z^2) + z rest(z^2), with
-    e = -1.  den reduced has a root at 0 iff Dhat_r = 0."""
+def _proper_chain(rest: Polynomial, den: Polynomial):
+    """The chain of den(z^2) + z rest(z^2) (deg rest < deg den), whose
+    p1/p0 is rest/den with e = -1, and the pole count r = deg den - deg gcd."""
     hm = hurwitz_minors(recompose_split(EvenOddSplit(den, rest)))
-    return _hankel_from_hurwitz(hm, -1, den.coeffs[0],
-                                den.degree - hm.halves_gcd.degree)
+    return hm, den.degree - hm.halves_gcd.degree
+
+
+def _proper_hankel(rest: Polynomial, den: Polynomial) -> HankelMinors:
+    """Hankel minors of rest/den through the pole count r (`_proper_chain`).
+    den reduced has a root at 0 iff Dhat_r = 0."""
+    hm, r = _proper_chain(rest, den)
+    return _hankel_from_hurwitz(hm, -1, den.coeffs[0], r)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +383,19 @@ def nabla_minors(p: Polynomial, q: Polynomial,
                  size: Optional[int] = None) -> NablaMinors:
     """Minors of the row-interleaved matrix of the pair (p, q).
 
-    Two layouts exist and the degree case picks one:
+    With b_i the coefficient of z^{n-i} in q, aligned to p's degree, the
+    degree case picks one of two layouts:
 
     - deg q = deg p = n: (2n+1)-square, rows alternate starting with the
       p row; row 2t column c holds a_{c-t}, row 2t+1 holds b_{c-t}.
     - deg q < deg p: 2n-square, rows alternate starting with a shifted q
       row; row 2t column c holds b_{c+1-t}, row 2t+1 holds a_{c-t}.
 
-    Here b_i is the coefficient of z^{n-i} in q, aligned to p's degree.
-    Passing size=2n+1 forces the equal-degree layout with a zero-padded
-    b vector, which is what the identity checks for pair resolvents need
-    when q's formal leading coefficients vanish.
+    size=2n+1 forces the first layout with b_0 = 0, which the identity
+    checks for pair resolvents need.  Both are stride-2 rows of the
+    Hurwitz layouts of g = p(z^2) + z q(z^2), so no matrix is built: the
+    minors are Delta(g) when the size is deg g, else (the forced size)
+    the leading minors eta(g) of g's infinite layout.
     """
     if p.is_zero():
         raise InvalidPairError("first polynomial must be nonzero")
@@ -403,24 +412,9 @@ def nabla_minors(p: Polynomial, q: Polynomial,
     if size == 2 * n and equal:
         raise InvalidPairError(
             "the 2n layout drops b_0 and needs deg q < deg p")
-
-    def a(i: int) -> Fraction:
-        return p.coeff(i)
-
-    def b(i: int) -> Fraction:
-        return q.power_coeff(n - i)
-
-    rows: List[List[Fraction]] = []
-    if size == 2 * n + 1:
-        for t in range(n + 1):
-            rows.append([a(c - t) for c in range(size)])
-            if len(rows) < size:
-                rows.append([b(c - t) for c in range(size)])
-    else:
-        for t in range(n):
-            rows.append([b(c + 1 - t) for c in range(size)])
-            rows.append([a(c - t) for c in range(size)])
-    return NablaMinors(tuple(leading_principal_minors(rows)), size)
+    g = recompose_split(EvenOddSplit(p, q))
+    hm = hurwitz_minors(g)
+    return NablaMinors(hm.delta if size == g.degree else hm.eta, size)
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def tridiagonal_equivalent(a1, b: Sequence, c: Sequence) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _anti_tridiagonal_data(A: ExactMatrix):
+def _anti_tridiagonal_data(A: ExactMatrix) -> None:
     """Validate the three-band anti-diagonal pattern with positive
     entries; anything off-pattern must be exactly zero."""
     n = A.n
@@ -297,7 +297,6 @@ def _anti_tridiagonal_data(A: ExactMatrix):
                 raise InvalidInputError(
                     f"entry ({i},{j}) lies outside the anti-tridiagonal "
                     f"pattern and must be zero, got {v}")
-    return n
 
 
 def anti_tridiagonal_criterion(A_J: ExactMatrix) -> bool:
@@ -305,11 +304,11 @@ def anti_tridiagonal_criterion(A_J: ExactMatrix) -> bool:
 
     Requirement: (-1)^(k(k-1)/2) times the minor on rows 1..k, columns
     n+1-k..n is positive for every k.  Flipping the matrix upside down
-    turns this into plain leading-minor positivity of a tridiagonal
-    matrix, which one sweep decides.
+    (reversing its rows) turns this into plain leading-minor positivity
+    of a tridiagonal matrix, which one sweep decides.
     """
-    n = _anti_tridiagonal_data(A_J)
-    return all(v > 0 for v in leading_principal_minors((flip(n) * A_J).rows))
+    _anti_tridiagonal_data(A_J)
+    return all(v > 0 for v in leading_principal_minors(A_J.rows[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,20 @@ Hankel minors are nonzero, as
     F(u) = c_0 + 1/(c_1 u + 1/(c_2 + 1/(c_3 u + ... ))),
 
 terminating in c_{2r} (even tail) or in c_{2r-1} u (odd tail; exactly the
-case of a pole at the origin).  The partial coefficients come from the
-two Hankel minor families, read off the Hurwitz chain of
-den(z^2) + z (num mod den)(z^2) (`minors._proper_hankel`), and for the
-split quotient p1/p0 of a polynomial from one chain of ratios of p's
-Hurwitz minors, t_m = Delta_m^2 / (Delta_{m-1} Delta_{m+1}) (c = t for
-even degree, c_0 = t_0 and c = t[1:] for odd).  The tests check both
-against the series route (`laurent_expand`, `hankel_minors`).
+case of a pole at the origin).  Every partial coefficient is one ratio
+of Hurwitz minors, t_m = Delta_m^2 / (Delta_{m-1} Delta_{m+1}), taken by
+one loop (`_partial_coefficients`): for F = c_0 + rest/den on the chain
+of den(z^2) + z rest(z^2) (`minors._proper_chain`), where c = t; for the
+split quotient p1/p0 of a polynomial on p's own chain (c = t for even
+degree, c_0 = t_0 and c = t[1:] for odd).  The tests check both against
+the series route (`laurent_expand`, `hankel_minors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 from .polyalg import (
     InvalidInputError,
@@ -28,7 +28,7 @@ from .polyalg import (
     _check_growth,
     poly_gcd,
 )
-from .minors import _proper_hankel, hurwitz_minors
+from .minors import HurwitzMinors, _proper_chain, hurwitz_minors
 
 __all__ = [
     "NoCFError", "StieltjesCF", "ExtendedCF", "stieltjes_expand",
@@ -71,42 +71,51 @@ class ExtendedCF:
     inner: StieltjesCF
 
 
+def _partial_coefficients(hm: HurwitzMinors, count: int) -> List[Fraction]:
+    """t_m = Delta_m^2 / (Delta_{m-1} Delta_{m+1}) for m = 0..count-1,
+    refused at the first vanishing Delta_{m+1}."""
+    t = []
+    for m in range(count):
+        if hm.d(m + 1) == 0:
+            raise NoCFError(f"no expansion: Delta_{m + 1} = 0")
+        t.append(hm.d(m) ** 2 / (hm.d(m - 1) * hm.d(m + 1)))
+    return t
+
+
 def stieltjes_expand(R: RationalFunction) -> StieltjesCF:
     """Expand a proper rational function, or refuse naming the obstruction.
 
     Existence needs D_j != 0 for j <= r and Dhat_j != 0 for j <= r-1;
     Dhat_r = 0 is legal and flips the tail to odd (pole at the origin).
     """
-    q, rest = divmod(R.num, R.den)
-    if q.degree > 0:
+    if R.num.degree > R.den.degree:
         raise NoCFError("function is not finite at infinity")
-    c0 = q.power_coeff(0)
-    mn = _proper_hankel(rest, R.den)
-    r = mn.order
-    if r == 0:
-        return StieltjesCF(c0, (), "even", 0)
-    for name, chain in (("D", mn.D), ("Dhat", mn.Dhat[:r - 1])):
-        for j, x in enumerate(chain, 1):
-            if x == 0:
-                raise NoCFError(f"no expansion: {name}_{j} = 0")
-    # a pole at the origin is exactly a vanishing Dhat_r
-    zero_pole = (mn.Dhat[r - 1] == 0)
-    c = []
-    for j in range(1, r + 1):
-        c.append(mn.dhat(j - 1) ** 2 / (mn.d(j - 1) * mn.d(j)))   # c_{2j-1}
-        if j < r or not zero_pole:
-            c.append(-mn.d(j) ** 2 / (mn.dhat(j - 1) * mn.dhat(j)))  # c_{2j}
-    return StieltjesCF(c0, tuple(c), "odd" if zero_pole else "even", r)
+    return extended_expand(R).inner
 
 
 def extended_expand(R: RationalFunction) -> ExtendedCF:
-    """Split off the linear growth, then expand the proper remainder."""
-    q = R.num // R.den
+    """Split off the linear growth, then expand the proper remainder.
+
+    With q, rest = divmod(num, den), q gives -c_minus1 and c_0, and rest/den
+    is read off the chain of den(z^2) + z rest(z^2) (`minors._proper_chain`):
+    D_j = Delta_{2j-1} / a_0^{2j-1} and Dhat_j = (-1)^j Delta_{2j} / a_0^{2j}
+    with a_0 = lc(den), so the scaling cancels in c_{2j-1} = Dhat_{j-1}^2 /
+    (D_{j-1} D_j) = t_{2j-2} and c_{2j} = -D_j^2 / (Dhat_{j-1} Dhat_j) =
+    t_{2j-1}.
+    """
+    q, rest = divmod(R.num, R.den)
     if q.degree > 1:
         g = poly_gcd(R.num, R.den)
         _check_growth(R.num // g, R.den // g)
-    s_m2 = q.power_coeff(1)
-    return ExtendedCF(-s_m2, stieltjes_expand(R - Polynomial([s_m2, 0])))
+    hm, r = _proper_chain(rest, R.den)
+    for name, shift, top in (("D", 1, r), ("Dhat", 0, r - 1)):
+        for j in range(1, top + 1):
+            if hm.d(2 * j - shift) == 0:
+                raise NoCFError(f"no expansion: {name}_{j} = 0")
+    zero_pole = (hm.d(2 * r) == 0)         # Dhat_r = 0: a pole at 0
+    c = _partial_coefficients(hm, 2 * r - zero_pole)
+    return ExtendedCF(-q.power_coeff(1), StieltjesCF(
+        q.power_coeff(0), tuple(c), "odd" if zero_pole else "even", r))
 
 
 def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
@@ -125,13 +134,8 @@ def cf_from_hurwitz_minors(p: Polynomial) -> StieltjesCF:
     n = p.degree
     if n < 1:
         raise NoCFError("constant polynomial has no split quotient")
-    delta = hurwitz_minors(p).d
     zero_tail = (p.power_coeff(0) == 0)
-    t = []
-    for m in range(max(n - zero_tail, 1)):
-        if delta(m + 1) == 0:
-            raise NoCFError(f"no expansion: Delta_{m + 1} = 0")
-        t.append(delta(m) ** 2 / (delta(m - 1) * delta(m + 1)))
+    t = _partial_coefficients(hurwitz_minors(p), max(n - zero_tail, 1))
     c0, c = (Fraction(0), t) if n % 2 == 0 else (t[0], t[1:])
     return StieltjesCF(c0, tuple(c), "odd" if zero_tail else "even", n // 2)
 

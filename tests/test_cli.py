@@ -215,9 +215,11 @@ class TestHankelFromHurwitz:
         for p in _hankel_corpus():
             text = ",".join(str(c) for c in p.coeffs)
             result = run(["minors", "--", text])
-            if result[0] == 0:
-                (stalled if _routh(p.coeffs)[2] else expected).append(
-                    (text, result))
+            found, _, stall = _routh(p.coeffs)
+            if result[0] == 0 and not stall:
+                expected.append((text, result))
+            elif result[0] == 0 and len(found) + 1 < p.degree:
+                stalled.append(text)
 
         def refuse(*args):
             raise AssertionError("second route to the Hankel minors")
@@ -225,15 +227,16 @@ class TestHankelFromHurwitz:
             if name.split(".")[0] != "genhurwitz":
                 continue
             for fn in ("laurent_expand", "hankel_minors",
-                       "leading_principal_minors"):
+                       "leading_principal_minors", "exact_det"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refuse)
         assert len(expected) >= 200
         for text, result in expected:
             assert run(["minors", "--", text]) == result, text
-        # a stalled array still takes the Bareiss sweep, so the patch bites
+        # an array stalled before its last row takes each later minor as its
+        # own determinant, so the patch bites
         with pytest.raises(AssertionError, match="second route"):
-            run(["minors", "--", stalled[0][0]])
+            run(["minors", "--", stalled[0]])
 
 
 class TestCfCommand:
@@ -449,6 +452,26 @@ class TestExitCodes:
             assert "5000 digits" in err and f"{limit}-digit" in err, err
             assert token not in err
         assert "coefficient token 2 " in run(["cf", f"1,{token}"])[2]
+
+    @pytest.mark.parametrize("command", ["classify", "minors", "cf",
+                                         "matrix"])
+    def test_large_exact_output_is_refused(self, command):
+        # a result past CPython's int-to-str digit limit is a domain
+        # refusal named by its digit count, with nothing on stdout
+        rng = random.Random(1)
+        p = P(1)
+        for _ in range(95):
+            p = p * P(1, rng.randint(1, 9))
+        x = "7" * 3000
+        argv = {"classify": ["classify", ",".join(map(str, p.coeffs))],
+                "minors": ["minors", ",".join(map(str, p.coeffs))],
+                "cf": ["cf", f"1,{x},{x},1"],
+                "matrix": ["matrix", "check", f"{x},0;0,{x}"]}[command]
+        code, out, err = run(argv)
+        assert (code, out) == (3, ""), err
+        limit = sys.get_int_max_str_digits()
+        assert f"digits, past the {limit}-digit limit" in err
+        assert x not in err
 
     def test_non_decimal_digits_are_malformed(self):
         # str.isdigit accepts superscripts, which Fraction refuses

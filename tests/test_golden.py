@@ -40,7 +40,11 @@ from genhurwitz.classify import (
     pole_sign_count,
 )
 from genhurwitz.cli import main
-from genhurwitz.minors import _routh, hurwitz_minors
+from genhurwitz.minors import (
+    _routh,
+    hurwitz_minors,
+    total_nonnegativity_scan,
+)
 from genhurwitz.oracle import (
     StructureSpec,
     UnrealizableSpecError,
@@ -287,6 +291,16 @@ def refuse_series_route(monkeypatch):
                 monkeypatch.setattr(module, fn, refuse)
 
 
+def refuse_sweep(monkeypatch):
+    """Make `leading_principal_minors` raise at every binding."""
+    def refuse(*args):
+        raise AssertionError("the leading-minor sweep ran")
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "genhurwitz"
+                and hasattr(module, "leading_principal_minors")):
+            monkeypatch.setattr(module, "leading_principal_minors", refuse)
+
+
 def rfunc_digest(functions, polynomials):
     h = hashlib.sha256()
     for R in functions:
@@ -386,6 +400,35 @@ def test_matrix_corpus_reaches_every_scan_outcome():
     assert outcomes == {"refused"} | {
         (kind, flag) for kind in ("definite", "tnn", "vanishing order",
                                   "class n+") for flag in (True, False)}
+
+
+def test_matrix_tn_verdict_reaches_every_route():
+    # totally_nonnegative is read off the signature scan unless a cap
+    # below n left orders unseen; each route agrees with the full scan
+    routes = set()
+    rng = random.Random(7)
+    for rows in _matrix_corpus():
+        text = ";".join(",".join(str(x) for x in row) for row in rows)
+        n = len(rows)
+        for option in ([], ["--max-order", str(rng.randint(0, n + 1))]):
+            code, out, _ = _run(option + ["matrix", "check", "--", text])
+            if code:
+                continue
+            d = json.loads(out)
+            sig = d["signature"]
+            assert d["totally_nonnegative"] == \
+                total_nonnegativity_scan(rows).ok, (rows, option)
+            if not sig["definite"]:
+                routes.add("non-definite")
+            elif -1 in sig["signs"]:
+                routes.add("negative order")
+            elif sig["checked_order"] == n:
+                routes.add("nonnegative through n")
+            else:
+                routes.add(("capped", d["totally_nonnegative"]))
+    assert routes == {"non-definite", "negative order",
+                      "nonnegative through n", ("capped", True),
+                      ("capped", False)}
 
 
 def test_minors_corpus_reaches_every_case():

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 
 import pytest
 
+import genhurwitz.minors as minors_module
 from genhurwitz.polyalg import (
+    EvenOddSplit,
     LaurentSeries,
     Polynomial,
     RationalFunction,
@@ -16,6 +18,7 @@ from genhurwitz.polyalg import (
     even_odd_split,
     laurent_expand,
     poly_gcd,
+    recompose_split,
     times_z,
 )
 from genhurwitz.minors import (
@@ -38,6 +41,8 @@ from genhurwitz.minors import (
     total_nonnegativity_scan,
 )
 
+from test_golden import refuse_sweep
+
 F = Fraction
 
 
@@ -50,6 +55,73 @@ def infinite_hurwitz_block(p, size):
     `HurwitzMinors.eta`: row t, column c holds a_{2c-t}."""
     a = [F(0)] * size + list(p.coeffs) + [F(0)] * (2 * size)
     return [a[size - t:3 * size - t:2] for t in range(size)]
+
+
+def interleaved_matrix(p, q, size):
+    """The row-interleaved matrix of the pair in the layout `nabla_minors`
+    documents, the oracle for its minors; b_i is the coefficient of
+    z^{n-i} in q."""
+    n = p.degree
+
+    def a(i):
+        return p.coeff(i)
+
+    def b(i):
+        return q.power_coeff(n - i)
+
+    rows = []
+    if size == 2 * n + 1:
+        for t in range(n + 1):
+            rows.append([a(c - t) for c in range(size)])
+            if len(rows) < size:
+                rows.append([b(c - t) for c in range(size)])
+    else:
+        for t in range(n):
+            rows.append([b(c + 1 - t) for c in range(size)])
+            rows.append([a(c - t) for c in range(size)])
+    return rows
+
+
+def nabla_corpus():
+    """(p, q, size) at every legal size: p of degree 0-7 with rational
+    entries and forced zeros, q from the zero polynomial to degree n."""
+    rng = random.Random(1515)
+
+    def coeff():
+        x = rng.random()
+        if x < 0.35:
+            return 0
+        if x < 0.5:
+            return F(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randint(-3, 3)
+    for _ in range(500):
+        n = rng.randint(0, 7)
+        p = Polynomial([rng.choice([1, -2, F(3, 2)])]
+                       + [coeff() for _ in range(n)])
+        dq = rng.randint(-1, n)
+        q = Polynomial([] if dq < 0 else [rng.choice([1, -1, 2])]
+                       + [coeff() for _ in range(dq)])
+        yield p, q, None
+        if dq < n:
+            yield p, q, 2 * n + 1
+
+
+def stalled_corpus():
+    """Polynomials whose Routh array stalls before its last row: degree
+    3-12, a_1 = 0 or sparse 0/+-1 entries, sometimes an even factor."""
+    rng = random.Random(1516)
+    while True:
+        n = rng.randint(3, 12)
+        cs = [rng.choice([1, -1, 2])] + [rng.choice([0, 0, 1, -1, 2])
+                                         for _ in range(n)]
+        if rng.random() < 0.5:
+            cs[1] = 0
+        p = Polynomial(cs)
+        if rng.random() < 0.2:
+            p = p * compose_even(Polynomial([1, rng.randint(-2, 2)]))
+        found, _, stalled = _routh(p.coeffs)
+        if stalled and len(found) + 1 < p.degree:
+            yield p
 
 
 def series_of(num, den, pairs):
@@ -286,6 +358,55 @@ class TestNablaMinors:
     def test_bad_size_refused(self):
         with pytest.raises(InvalidInputError):
             nabla_minors(P(1, 2, 1), P(1), size=7)
+
+    def test_matches_the_interleaved_matrix(self):
+        cases = set()
+        for p, q, size in nabla_corpus():
+            nm = nabla_minors(p, q, size)
+            rows = interleaved_matrix(p, q, nm.size)
+            assert nm.nabla == tuple(leading_principal_minors(rows)), (p, q)
+            n = p.degree
+            cases.add("2n+1" if q.degree == n else
+                      "2n" if nm.size == 2 * n else "2n+1 padded")
+            if q.is_zero():
+                cases.add("q = 0")
+            if n == 0:
+                cases.add("constant p")
+            g = recompose_split(EvenOddSplit(p, q))
+            if _routh(g.coeffs)[2]:
+                cases.add("stalled")
+        assert cases == {"2n+1", "2n", "2n+1 padded", "q = 0", "constant p",
+                         "stalled"}
+
+
+class TestOneRouthArray:
+    def test_no_leading_minor_sweep(self, monkeypatch):
+        # the pair minors and a stalled chain come from the Routh array
+        # and single determinants, never from the leading-minor sweep
+        pairs = list(nabla_corpus())
+        stalled = list(islice(stalled_corpus(), 300))
+        nablas = [nabla_minors(*args) for args in pairs]
+        chains = [hurwitz_minors(p) for p in stalled]
+        refuse_sweep(monkeypatch)
+        assert [nabla_minors(*args) for args in pairs] == nablas
+        assert [hurwitz_minors(p) for p in stalled] == chains
+        with pytest.raises(AssertionError, match="sweep"):
+            hankel_minors(LaurentSeries(F(0), F(0), (F(1), F(1))), 1)
+
+    def test_stalled_chain_takes_each_later_minor_once(self, monkeypatch):
+        # past a stall at row k, Delta_{k+1}..Delta_n are one determinant
+        # each, and they agree with the Bareiss sweep of the whole matrix
+        calls = []
+        monkeypatch.setattr(minors_module, "exact_det",
+                            lambda rows: calls.append(len(rows))
+                            or exact_det(rows))
+        for p in islice(stalled_corpus(), 300):
+            calls.clear()
+            hm = hurwitz_minors(p)
+            k = len(_routh(p.coeffs)[0]) + 1
+            assert calls == list(range(k + 1, p.degree + 1)), p
+            assert hm.delta == tuple(
+                leading_principal_minors(finite_hurwitz_matrix(p))), p
 
 
 class TestSignChangeCounters:

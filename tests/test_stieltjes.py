@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from genhurwitz.minors import _proper_hankel, hankel_minors, hurwitz_minors
+from genhurwitz.minors import (
+    _proper_hankel,
+    _routh,
+    hankel_minors,
+    hurwitz_minors,
+)
 from genhurwitz.polyalg import (
     DegenerateSplitError,
     Polynomial,
@@ -26,7 +31,13 @@ from genhurwitz.stieltjes import (
     stieltjes_expand,
 )
 
-from test_golden import outcome, refuse_series_route, rfunc_corpus, stalled
+from test_golden import (
+    outcome,
+    refuse_series_route,
+    refuse_sweep,
+    rfunc_corpus,
+    stalled,
+)
 
 F = Fraction
 
@@ -289,6 +300,29 @@ class TestReconstruct:
         from genhurwitz.polyalg import associated_function
         cf = stieltjes_expand(associated_function(P(*coeffs)))
         assert stieltjes_expand(cf_reconstruct(cf)) == cf
+
+
+class TestOneRouthArray:
+    def test_no_leading_minor_sweep(self, monkeypatch):
+        # both expansions and the polynomial route read one Routh array,
+        # stalled ones included, and never take the leading-minor sweep
+        functions = list(rfunc_corpus())
+        rng = random.Random(1517)
+        polys = [P(*([rng.choice([-2, -1, 1, 2])] + [
+            rng.choice([0, 0, -1, 1, 2]) for _ in range(rng.randint(1, 9))]))
+            for _ in range(400)]
+        expected = [(outcome(stieltjes_expand, R), outcome(extended_expand, R))
+                    for R in functions]
+        cfs = [outcome(cf_from_hurwitz_minors, p) for p in polys]
+        assert any(stalled(R.num, R.den) for R in functions)
+        assert any(_routh(p.coeffs)[2] for p in polys)
+        refuse_sweep(monkeypatch)
+        for R, (cf, ext) in zip(functions, expected):
+            assert outcome(stieltjes_expand, R) == cf, R
+            assert outcome(extended_expand, R) == ext, R
+        assert [outcome(cf_from_hurwitz_minors, p) for p in polys] == cfs
+        with pytest.raises(AssertionError, match="sweep"):
+            hankel_minors(laurent_expand(RF([1], [1, 1]), 1), 1)
 
 
 class TestExtended:
