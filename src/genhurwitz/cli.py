@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -315,6 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec",
                     help="build: kind:field=value;... | check: rows 'a,b;c,d'")
     sp.set_defaults(handler=_cmd_matrix)
+    # argparse takes "-1" as a value but "-1,0,0" as an unknown option; no
+    # option here starts with a digit, so '-' and a digit is always a value
+    for parser in (top, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"-\d")
     return top
 
 

@@ -2,8 +2,9 @@
 
 Exact determinants (fraction-free Bareiss over the integers), the Hankel
 minor families D_j and Dhat_j of a series at infinity, Hurwitz minors of a
-polynomial (a fraction-free Routh array) with the Hankel minors and the
-interleaved minors of a pair read off them, Frobenius-rule sign change
+polynomial (a fraction-free Routh array, and past a stall in it the signed
+subresultants of its halves) with the Hankel minors and the interleaved
+minors of a pair read off them, Frobenius-rule sign change
 counting, and the table of all minors of a matrix (integer Laplace
 expansion, order by order) that the total nonnegativity and sign
 definiteness scans read.
@@ -26,8 +27,6 @@ from .polyalg import (
     LaurentSeries,
     Polynomial,
     _rat,
-    even_odd_split,
-    poly_gcd,
     recompose_split,
 )
 
@@ -37,7 +36,7 @@ __all__ = [
     "exact_det", "leading_principal_minors", "hankel_minors",
     "hurwitz_minors", "nabla_minors", "scf_frobenius",
     "strong_sign_changes", "total_nonnegativity_scan",
-    "hankel_character_test", "finite_hurwitz_matrix",
+    "hankel_character_test",
 ]
 
 SCAN_CAP = 8     # largest dimension the exhaustive minor scans take
@@ -215,19 +214,6 @@ def hankel_character_test(minors: HankelMinors, mode: str) -> bool:
 # ---------------------------------------------------------------------------
 # Hurwitz minors
 
-_ZERO = Fraction(0)
-
-
-def finite_hurwitz_matrix(p: Polynomial) -> List[List[Fraction]]:
-    """The n x n Hurwitz matrix: row t, column c holds a_{2c+1-t}."""
-    if p.is_zero():
-        raise InvalidInputError("Hurwitz matrix of the zero polynomial")
-    n = p.degree
-    # row t is a stride-2 slice of the coefficients padded with one shared 0
-    a = [_ZERO] * n + list(p.coeffs) + [_ZERO] * n
-    return [a[n + 1 - t:3 * n + 1 - t:2] for t in range(n)]
-
-
 def _routh(coeffs: Sequence[Fraction]):
     """Fraction-free Routh array of a polynomial's coefficients a_0..a_n.
 
@@ -267,6 +253,40 @@ def _routh(coeffs: Sequence[Fraction]):
         above, row = row, [(lead * above[j + 1] - top * padded[j + 1]) // div
                            for j in range(len(above) - 1)]
     return delta, None, False
+
+
+def _signed_subresultants(P: List[int], Q: List[int]):
+    """Signed subresultant coefficients of two integer polynomials.
+
+    P (degree p, P[0] != 0) and Q (p entries, not all 0) are leading-first
+    lists.  Returns s[i] = lc(P)^(p-1-deg Q) sRes_i(P, Q) for i = 0..p and
+    the last nonzero signed subresultant, a multiple of gcd(P, Q), by
+    Algorithm 8.21 of Basu, Pollack and Roy, *Algorithms in Real Algebraic
+    Geometry*: its step -Rem(t_{j-1} s_k S_{i-1}, S_{j-1}) / (s_j t_{i-1})
+    is the pseudo-remainder of S_{i-1} by S_{j-1} times -s_k, divided
+    exactly by t_{j-1}^(j-k) s_j t_{i-1}.
+    """
+    p = len(P) - 1
+    z = next(v for v, x in enumerate(Q) if x)
+    s, t = [0] * (p + 1), [0] * (p + 1)
+    s[p] = t[p] = 1
+    prev, cur, i, j = P, Q[z:], p + 1, p
+    while cur:
+        last, k, t[j - 1] = cur, len(cur) - 1, cur[0]
+        for d in range(1, j - k):
+            t[j - d - 1] = (-1) ** d * t[j - 1] * t[j - d] // s[j]
+        s[k] = t[k]
+        if k == 0:
+            break
+        r, tail = prev, cur[1:] + [0] * (j - k)
+        for _ in range(j - k + 1):
+            c = r[0]
+            r = [cur[0] * x - c * y for x, y in zip(r[1:], tail)]
+        div = t[j - 1] ** (j - k) * s[j] * t[i - 1]
+        r = [-x * s[k] // div for x in r]
+        prev, cur, i, j = cur, r[next((v for v, x in enumerate(r) if x),
+                                      k):], j, k
+    return [x * P[0] ** z for x in s], last
 
 
 @dataclass(frozen=True)
@@ -309,14 +329,22 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
       last column of H(q)'s j-block holds a_j(q)..a_{2j-1}(q), all 0 for
       j > deg q; Delta_{k+1} = F_{k+1}[0] = 0 covers e = 1.
     - A zero first entry F_k[0] in a nonzero row (an entry stall, only
-      for n >= 3): Delta_k = 0, but past it the rows are no longer Hurwitz
-      minors (the Fraction form of the step divides by that entry), so
-      each of Delta_{k+1}..Delta_n is its own determinant.
-      `halves_gcd` is then 1 when Delta_{n-1} != 0: by Orlando's formula,
-      Delta_{n-1} = (-1)^{n(n-1)/2} a_0^{n-1} prod_{i<j} (z_i + z_j)
-      vanishes exactly when two zeros sum to zero, which is when p0 and
-      p1 share a root.  Only otherwise does it take the Euclid on the
-      halves.
+      for n >= 3): past it the rows are no longer Hurwitz minors (the
+      Fraction form of the step divides by that entry), so the whole chain
+      comes from signed subresultants of the halves.  On the integer
+      coefficients L a_i, padded by a zero constant term for odd n (H_n(p)
+      leads H_{n+1}(z p)), n = 2m, A = (a_0, a_2, ..., a_n) and B = (a_1,
+      a_3, ..., a_{n-1}) in u = z^2, and a_0 R = a_0 u B - a_1 A (its u^m
+      term cancels), for j = 1..m:
+
+          Delta_{2j-1} = a_0^(m-1-deg B) sRes_{m-j}(A, B),
+          Delta_{2j}   = (-1)^j a_0^(m-deg R) sRes_{m-j}(A, R),
+
+      truncated to n (`_signed_subresultants`, which takes a_0 R:
+      sRes_i(A, a_0 R) = a_0^(m-i) sRes_i(A, R)).  `halves_gcd` is the last
+      nonzero subresultant of (A, B) = (p0, p1) for even n, and for odd n
+      that of (A, R) = (u p1, u (p0 - (a_1/a_0) p1)) over u.  B and R are
+      nonzero: a zero one is a whole zero row, F_1 or -a_0 R = F_2.
 
     The (n+1)-square block of the infinite layout is the finite matrix
     bordered by a first column (a_0, 0, ..., 0), so eta_j = a_0 *
@@ -327,16 +355,19 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
     n = p.degree
     found, aux, stalled = _routh(p.coeffs)
     if stalled:
-        H = finite_hurwitz_matrix(p)
-        delta = (*found, _ZERO, *(exact_det([row[:k] for row in H[:k]])
-                                  for k in range(len(found) + 2, n + 1)))
-        if delta[n - 2] != 0:
-            halves_gcd = Polynomial([1])
-        else:
-            halves = even_odd_split(p)
-            halves_gcd = poly_gcd(halves.p0, halves.p1)
+        (a,), (scale,) = _integerize([p.coeffs])
+        a += [0] * (n % 2)
+        sB, gB = _signed_subresultants(a[0::2], a[1::2])
+        sR, gR = _signed_subresultants(a[0::2], [
+            a[0] * b - a[1] * x for b, x in zip(a[3::2] + [0], a[2::2])])
+        m, lead = len(sB) - 1, Fraction(a[0])
+        chain = [x for j in range(1, m + 1)
+                 for x in (sB[m - j], (-1) ** j * sR[m - j] / lead ** (j - 1))]
+        delta = tuple(Fraction(x) / scale ** k
+                      for k, x in enumerate(chain[:n], 1))
+        halves_gcd = Polynomial(gR[:-1] if n % 2 else gB).monic()
     else:
-        delta = tuple(found) + (_ZERO,) * (n - len(found))
+        delta = tuple(found) + (Fraction(0),) * (n - len(found))
         halves_gcd = (Polynomial([1]) if aux is None
                       else Polynomial(aux).monic())
     a0 = p.coeffs[0]

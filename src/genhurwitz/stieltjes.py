@@ -26,7 +26,6 @@ from .polyalg import (
     Polynomial,
     RationalFunction,
     _check_growth,
-    poly_gcd,
 )
 from .minors import HurwitzMinors, _proper_chain, hurwitz_minors
 
@@ -101,13 +100,14 @@ def extended_expand(R: RationalFunction) -> ExtendedCF:
     D_j = Delta_{2j-1} / a_0^{2j-1} and Dhat_j = (-1)^j Delta_{2j} / a_0^{2j}
     with a_0 = lc(den), so the scaling cancels in c_{2j-1} = Dhat_{j-1}^2 /
     (D_{j-1} D_j) = t_{2j-2} and c_{2j} = -D_j^2 / (Dhat_{j-1} Dhat_j) =
-    t_{2j-1}.
+    t_{2j-1}.  Growth past one linear term is refused on the reduced
+    degrees, with gcd(num, den) = gcd(den, rest) the chain's `halves_gcd`.
     """
     q, rest = divmod(R.num, R.den)
-    if q.degree > 1:
-        g = poly_gcd(R.num, R.den)
-        _check_growth(R.num // g, R.den // g)
     hm, r = _proper_chain(rest, R.den)
+    if q.degree > 1:
+        g = hm.halves_gcd
+        _check_growth(R.num // g, R.den // g)
     for name, shift, top in (("D", 1, r), ("Dhat", 0, r - 1)):
         for j in range(1, top + 1):
             if hm.d(2 * j - shift) == 0:

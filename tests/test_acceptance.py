@@ -35,7 +35,6 @@ from genhurwitz import (
 from genhurwitz.classify import LABEL_GH, LABEL_QUASI, LABEL_SI, LABEL_STABLE
 from genhurwitz.minors import (
     exact_det,
-    finite_hurwitz_matrix,
     leading_principal_minors,
     strong_sign_changes,
     total_nonnegativity_scan,
@@ -64,6 +63,8 @@ from genhurwitz.simatrix import (
     tridiagonal_equivalent,
 )
 from genhurwitz.stieltjes import NoCFError
+
+from test_minors import finite_hurwitz_matrix
 
 PER_CLASS = 1000
 EIGEN_TOL = 1e-8

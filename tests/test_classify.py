@@ -45,6 +45,7 @@ from genhurwitz.classify import (
 from test_golden import (
     outcome,
     refuse_series_route,
+    refuse_sweep,
     rfunc_corpus,
     stability_corpus,
     stalled,
@@ -302,17 +303,18 @@ class TestRFunctionHelpers:
 
     def test_no_euclid_series_or_sweep(self, monkeypatch):
         # certificates, pole counts and the stability verdict come from one
-        # Routh array; a stalled array may take the Euclid on the halves
-        functions = [R for R in rfunc_corpus() if not stalled(R.num, R.den)]
-        polys = [p for p in stability_corpus()
-                 if not stalled(Polynomial(
-                     [(-1) ** j * c for j, c in enumerate(p.coeffs)]), p)]
+        # chain, stalled arrays included
+        functions = list(rfunc_corpus())
+        polys = list(stability_corpus())
         expected = [(outcome(is_r_function, R), outcome(pole_sign_count, R))
                     for R in functions]
         verdicts = [new_stability_criterion(p) for p in polys]
-        assert len(functions) < len(list(rfunc_corpus()))
-        assert len(polys) < len(list(stability_corpus()))
+        assert any(stalled(R.num, R.den) for R in functions)
+        assert any(stalled(Polynomial(
+            [(-1) ** j * c for j, c in enumerate(p.coeffs)]), p)
+            for p in polys)
         refuse_series_route(monkeypatch)
+        refuse_sweep(monkeypatch)
         for R, (cert, counts) in zip(functions, expected):
             assert outcome(is_r_function, R) == cert, R
             assert outcome(pole_sign_count, R) == counts, R
@@ -594,14 +596,41 @@ class TestDerivedSplits:
             raise AssertionError("Euclid ran on coprime halves")
         coprime = [p for p in _mixed_corpus() if p.degree >= 2
                    and hurwitz_minors(p).delta[p.degree - 2] != 0]
-        monkeypatch.setattr(sys.modules["genhurwitz.minors"], "poly_gcd",
-                            refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "genhurwitz" and hasattr(module,
+                                                              "poly_gcd"):
+                monkeypatch.setattr(module, "poly_gcd", refuse)
         reached = stalled = 0
         for p in coprime:
             reached += "reflected_label" in classify(p).certificates
             stalled += _routh(p.coeffs)[2]
         assert reached > 50
         assert stalled > 0
+
+    def test_no_image_takes_euclid_series_or_sweep(self, monkeypatch):
+        # p's chain gives the even factor (Routh array or, past a stall,
+        # signed subresultants), and the root check on it is a second
+        # chain, so no image takes a gcd, a Laurent series, a Hankel table,
+        # a determinant or a Bareiss sweep, stalled arrays included
+        inputs = list(_split_inputs()) + list(_mixed_corpus())
+        reports = [classify(p) for p in inputs]
+        refuse_series_route(monkeypatch)
+        refuse_sweep(monkeypatch)
+        reached = set()
+        for p, report in zip(inputs, reports):
+            assert classify(p) == report, p
+            cert = report.certificates
+            reached.update(key for key in ("quasi_certificate",
+                                           "dual_quasi_certificate",
+                                           "reflected_label") if key in cert)
+            quasi = cert.get("quasi_certificate")
+            if quasi is not None and quasi["even_factor_u"].degree > 0:
+                reached.add("root check on a shared even factor")
+            if _routh(p.coeffs)[2]:
+                reached.add("stalled")
+        assert reached == {"quasi_certificate", "dual_quasi_certificate",
+                           "reflected_label",
+                           "root check on a shared even factor", "stalled"}
 
 
 class TestOnePass:

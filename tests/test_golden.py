@@ -292,13 +292,16 @@ def refuse_series_route(monkeypatch):
 
 
 def refuse_sweep(monkeypatch):
-    """Make `leading_principal_minors` raise at every binding."""
+    """Make `leading_principal_minors` and `exact_det` raise at every
+    binding."""
     def refuse(*args):
-        raise AssertionError("the leading-minor sweep ran")
+        raise AssertionError("a determinant or the leading-minor sweep ran")
     for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "genhurwitz"
-                and hasattr(module, "leading_principal_minors")):
-            monkeypatch.setattr(module, "leading_principal_minors", refuse)
+        if name.split(".")[0] != "genhurwitz":
+            continue
+        for fn in ("leading_principal_minors", "exact_det"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, refuse)
 
 
 def rfunc_digest(functions, polynomials):

@@ -1,6 +1,7 @@
 """Determinant machinery: Hankel, Hurwitz, interleaved pair minors, scans."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, islice
 from math import prod
@@ -30,7 +31,6 @@ from genhurwitz.minors import (
     _minor_table,
     _routh,
     exact_det,
-    finite_hurwitz_matrix,
     hankel_character_test,
     hankel_minors,
     hurwitz_minors,
@@ -41,13 +41,21 @@ from genhurwitz.minors import (
     total_nonnegativity_scan,
 )
 
-from test_golden import refuse_sweep
+from test_golden import refuse_series_route, refuse_sweep
 
 F = Fraction
 
 
 def P(*cs):
     return Polynomial(list(cs))
+
+
+def finite_hurwitz_matrix(p):
+    """The n x n Hurwitz matrix, row t, column c holding a_{2c+1-t}: its
+    Bareiss sweep is the oracle for `hurwitz_minors`."""
+    n = p.degree
+    a = [F(0)] * n + list(p.coeffs) + [F(0)] * n
+    return [a[n + 1 - t:3 * n + 1 - t:2] for t in range(n)]
 
 
 def infinite_hurwitz_block(p, size):
@@ -107,21 +115,35 @@ def nabla_corpus():
 
 
 def stalled_corpus():
-    """Polynomials whose Routh array stalls before its last row: degree
-    3-12, a_1 = 0 or sparse 0/+-1 entries, sometimes an even factor."""
-    rng = random.Random(1516)
+    """Polynomials whose Routh array stalls, built backwards from the
+    Euclid on their halves in z: f_N a constant, f_{N+1} = 0,
+    f_{i-1} = q_i f_i + f_{i+1} for odd quotients q_i, and p = f_0 + f_1.
+    The first q_k past degree one stalls row k (k = 1..10), and a q_1 of
+    degree 5 makes a_1 = a_3 = 0.  Entries are rational, of either sign;
+    some inputs are multiplied by an f(z^2) (a shared even factor) or z."""
+    rng = random.Random(1616)
+
+    def c():
+        return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+    def odd(degree):
+        return Polynomial([c() if j == 0 else rng.choice([0, c()])
+                           if j % 2 == 0 else 0 for j in range(degree + 1)])
     while True:
-        n = rng.randint(3, 12)
-        cs = [rng.choice([1, -1, 2])] + [rng.choice([0, 0, 1, -1, 2])
-                                         for _ in range(n)]
-        if rng.random() < 0.5:
-            cs[1] = 0
-        p = Polynomial(cs)
-        if rng.random() < 0.2:
-            p = p * compose_even(Polynomial([1, rng.randint(-2, 2)]))
-        found, _, stalled = _routh(p.coeffs)
-        if stalled and len(found) + 1 < p.degree:
-            yield p
+        k = rng.randint(1, 10)
+        N = rng.randint(k, 11)
+        f, after = Polynomial([c()]), Polynomial([])
+        for i in range(N, 0, -1):
+            degree = (1 if i < k else rng.choice((3, 5)) if i == k
+                      else rng.choice((1, 1, 1, 3)))
+            f, after = odd(degree) * f + after, f
+        p = f + after
+        x = rng.random()
+        if x < 0.2:
+            p = p * compose_even(Polynomial([c(), c()]))
+        elif x < 0.3:
+            p = times_z(p)
+        yield p
 
 
 def series_of(num, den, pairs):
@@ -393,20 +415,48 @@ class TestOneRouthArray:
         with pytest.raises(AssertionError, match="sweep"):
             hankel_minors(LaurentSeries(F(0), F(0), (F(1), F(1))), 1)
 
-    def test_stalled_chain_takes_each_later_minor_once(self, monkeypatch):
-        # past a stall at row k, Delta_{k+1}..Delta_n are one determinant
-        # each, and they agree with the Bareiss sweep of the whole matrix
-        calls = []
-        monkeypatch.setattr(minors_module, "exact_det",
-                            lambda rows: calls.append(len(rows))
-                            or exact_det(rows))
-        for p in islice(stalled_corpus(), 300):
-            calls.clear()
+    def test_stalled_chain_is_one_subresultant_route(self, monkeypatch):
+        # past an entry stall the chain and the even factor come from the
+        # signed subresultants of the halves alone, and agree with the
+        # Bareiss sweep of the finite matrix and the Euclid on the halves
+        polys = list(islice(stalled_corpus(), 400))
+        oracles = []
+        for p in polys:
+            halves = even_odd_split(p)
+            oracles.append((
+                tuple(leading_principal_minors(finite_hurwitz_matrix(p))),
+                poly_gcd(halves.p0, halves.p1)))
+
+        refuse_series_route(monkeypatch)
+        refuse_sweep(monkeypatch)
+        cases = set()
+        for p, (bareiss, halves_gcd) in zip(polys, oracles):
+            found, _, stalled = _routh(p.coeffs)
             hm = hurwitz_minors(p)
-            k = len(_routh(p.coeffs)[0]) + 1
-            assert calls == list(range(k + 1, p.degree + 1)), p
-            assert hm.delta == tuple(
-                leading_principal_minors(finite_hurwitz_matrix(p))), p
+            assert stalled, p
+            assert hm.delta == bareiss, p
+            assert hm.halves_gcd == halves_gcd, p
+            # the Routh prefix the stall discards is the chain's start
+            assert hm.delta[:len(found)] == tuple(found), p
+            cases.update({("row", len(found) + 1), ("odd", p.degree % 2 == 1),
+                          ("a_0 < 0", p.coeffs[0] < 0)})
+            if p.coeffs[1] == p.coeffs[3] == 0:
+                cases.add("a_1 = a_3 = 0")
+            if halves_gcd.degree > 0:
+                cases.add("shared even factor")
+            if p.power_coeff(0) == 0:
+                cases.add("origin zero")
+            if any(c.denominator > 1 for c in p.coeffs):
+                cases.add("rational")
+        assert cases == {*(("row", k) for k in range(1, 11)),
+                         *((key, v) for key in ("odd", "a_0 < 0")
+                           for v in (False, True)),
+                         "a_1 = a_3 = 0", "shared even factor",
+                         "origin zero", "rational"}
+        with pytest.raises(AssertionError, match="determinant"):
+            minors_module.exact_det([[F(1)]])
+        with pytest.raises(AssertionError, match="Euclid"):
+            sys.modules["genhurwitz.polyalg"].poly_gcd(P(1), P(1))
 
 
 class TestSignChangeCounters:

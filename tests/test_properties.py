@@ -23,7 +23,6 @@ from genhurwitz.polyalg import (
 from genhurwitz.minors import (
     _routh,
     exact_det,
-    finite_hurwitz_matrix,
     hankel_minors,
     hurwitz_minors,
     leading_principal_minors,
@@ -39,7 +38,7 @@ from genhurwitz.classify import (
 )
 from genhurwitz.simatrix import ExactMatrix, char_poly, flip
 
-from test_minors import infinite_hurwitz_block
+from test_minors import finite_hurwitz_matrix, infinite_hurwitz_block
 
 F = Fraction
 
