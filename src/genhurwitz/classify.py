@@ -535,7 +535,7 @@ def derivative_family(p: Polynomial) -> Tuple[Polynomial, ...]:
     members.
     """
     n = p.degree
-    if not isinstance(n, int) or n < 2:
+    if n < 2:
         return ()
     split = even_odd_split(p)
     out = []
@@ -554,7 +554,7 @@ def subsample_family(p: Polynomial, r: int) -> Polynomial:
     with k = n // r, and the odd-degree shape keeps (a_0, a_1) up front.
     """
     n = p.degree
-    if not isinstance(n, int) or n < 1:
+    if n < 1:
         raise InvalidInputError("subsampling needs degree >= 1")
     if not 1 <= r <= n:
         raise InvalidInputError(f"stride must lie in 1..{n}, got {r}")

@@ -75,7 +75,7 @@ def _cmd_minors(args) -> dict:
     hm = hurwitz_minors(p)
     R = associated_function(p)
     p0 = R.den
-    _check_growth(R.num, p0)
+    _check_growth(R.num.degree, p0.degree)
     r = p0.degree - hm.halves_gcd.degree
     order = r if args.max_order is None else min(r, args.max_order)
     mn = _hankel_from_hurwitz(hm, p.degree - 1 - 2 * p0.degree,

@@ -147,7 +147,7 @@ def numeric_roots(p: Polynomial) -> RootSet:
     take over.  Failing both ways raises rather than returning junk.
     """
     deg = p.degree
-    if not isinstance(deg, int) or deg < 1:
+    if deg < 1:
         raise InvalidInputError("root finding needs degree >= 1")
     coeffs = [float(c / p.coeffs[0]) for c in p.coeffs]
 
@@ -684,7 +684,7 @@ def numeric_partial_fractions(R: RationalFunction) -> NumericPartialFraction:
     red = R.reduced()
     if red.den.degree == 0:
         raise InvalidInputError("no poles to decompose")
-    _check_growth(red.num, red.den)
+    _check_growth(red.num.degree, red.den.degree)
     q = red.num // red.den
     alpha, beta = -float(q.power_coeff(1)), float(q.power_coeff(0))
     roots = numeric_roots(red.den)

@@ -177,7 +177,7 @@ class Polynomial:
         p = self
         for _ in range(order):
             n = p.degree
-            if not isinstance(n, int) or n < 1:
+            if n < 1:
                 return Polynomial()
             p = Polynomial([c * (n - i) for i, c in enumerate(p.coeffs[:-1])])
         return p
@@ -397,12 +397,13 @@ class LaurentSeries:
         raise IndexError(f"series term s_{j} was not expanded")
 
 
-def _check_growth(num: Polynomial, den: Polynomial) -> None:
-    """Refuse num/den growing faster than one linear term at infinity."""
-    if num.degree > den.degree + 1:
+def _check_growth(num_degree: int, den_degree: int) -> None:
+    """Refuse num/den growing faster than one linear term at infinity,
+    from the degrees of num and den."""
+    if num_degree > den_degree + 1:
         raise UnsupportedGrowthError(
-            f"numerator degree {num.degree} exceeds denominator degree "
-            f"{den.degree} by more than one; no Laurent expansion of this "
+            f"numerator degree {num_degree} exceeds denominator degree "
+            f"{den_degree} by more than one; no Laurent expansion of this "
             "shape exists")
 
 
@@ -424,7 +425,7 @@ def laurent_expand(R: RationalFunction, pairs: int) -> LaurentSeries:
     if pairs < 0:
         raise InvalidInputError("pairs must be nonnegative")
     num, den = R.num, R.den
-    _check_growth(num, den)
+    _check_growth(num.degree, den.degree)
     M = den.degree
     if num.is_zero():
         zero = Fraction(0)

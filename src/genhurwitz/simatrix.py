@@ -31,7 +31,6 @@ from .minors import (
     _integerize,
     _minor_table,
     exact_det,
-    leading_principal_minors,
     total_nonnegativity_scan,
 )
 
@@ -305,10 +304,20 @@ def anti_tridiagonal_criterion(A_J: ExactMatrix) -> bool:
     Requirement: (-1)^(k(k-1)/2) times the minor on rows 1..k, columns
     n+1-k..n is positive for every k.  Flipping the matrix upside down
     (reversing its rows) turns this into plain leading-minor positivity
-    of a tridiagonal matrix, which one sweep decides.
+    of a tridiagonal matrix T, whose leading minors are the continuants
+    theta_k = T_kk theta_{k-1} - T_{k,k-1} T_{k-1,k} theta_{k-2} with
+    theta_0 = 1 (theta_{-1} = 0), exact and read up to the first
+    nonpositive one.
     """
     _anti_tridiagonal_data(A_J)
-    return all(v > 0 for v in leading_principal_minors(A_J.rows[::-1]))
+    T = A_J.rows[::-1]
+    before, theta = Fraction(0), Fraction(1)
+    for k in range(A_J.n):
+        off = T[k][k - 1] * T[k - 1][k] if k else 0
+        before, theta = theta, T[k][k] * theta - off * before
+        if theta <= 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,14 @@ def extended_expand(R: RationalFunction) -> ExtendedCF:
     with a_0 = lc(den), so the scaling cancels in c_{2j-1} = Dhat_{j-1}^2 /
     (D_{j-1} D_j) = t_{2j-2} and c_{2j} = -D_j^2 / (Dhat_{j-1} Dhat_j) =
     t_{2j-1}.  Growth past one linear term is refused on the reduced
-    degrees, with gcd(num, den) = gcd(den, rest) the chain's `halves_gcd`.
+    degrees, deg num - deg g and deg den - deg g, with g = gcd(num, den) =
+    gcd(den, rest) the chain's `halves_gcd`; nothing is divided.
     """
     q, rest = divmod(R.num, R.den)
     hm, r = _proper_chain(rest, R.den)
     if q.degree > 1:
-        g = hm.halves_gcd
-        _check_growth(R.num // g, R.den // g)
+        g = hm.halves_gcd.degree
+        _check_growth(R.num.degree - g, R.den.degree - g)
     for name, shift, top in (("D", 1, r), ("Dhat", 0, r - 1)):
         for j in range(1, top + 1):
             if hm.d(2 * j - shift) == 0:

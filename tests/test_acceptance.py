@@ -35,7 +35,6 @@ from genhurwitz import (
 from genhurwitz.classify import LABEL_GH, LABEL_QUASI, LABEL_SI, LABEL_STABLE
 from genhurwitz.minors import (
     exact_det,
-    leading_principal_minors,
     strong_sign_changes,
     total_nonnegativity_scan,
 )
@@ -64,7 +63,7 @@ from genhurwitz.simatrix import (
 )
 from genhurwitz.stieltjes import NoCFError
 
-from test_minors import finite_hurwitz_matrix
+from test_minors import finite_hurwitz_matrix, leading_minors
 
 PER_CLASS = 1000
 EIGEN_TOL = 1e-8
@@ -443,8 +442,7 @@ def test_criterion_8_matrix_spectra():
         corner = all(
             M.minor(range(k), range(n - k, n)) * flip_signature(n)[k - 1] > 0
             for k in range(1, n + 1))
-        jacobi = all(v > 0
-                     for v in leading_principal_minors((flip(n) * M).rows))
+        jacobi = all(v > 0 for v in leading_minors((flip(n) * M).rows))
         assert corner == jacobi == anti_tridiagonal_criterion(M)
         verdicts.add(corner)
     assert verdicts == {True, False}

@@ -22,7 +22,6 @@ from genhurwitz.minors import (
     _routh,
     hankel_minors,
     hurwitz_minors,
-    leading_principal_minors,
     strong_sign_changes,
 )
 from genhurwitz.oracle import StructureSpec, generate_instance
@@ -44,12 +43,13 @@ from genhurwitz.classify import (
 
 from test_golden import (
     outcome,
+    refuse_bareiss,
     refuse_series_route,
-    refuse_sweep,
     rfunc_corpus,
     stability_corpus,
     stalled,
 )
+from test_minors import leading_minors
 
 F = Fraction
 
@@ -314,7 +314,7 @@ class TestRFunctionHelpers:
             [(-1) ** j * c for j, c in enumerate(p.coeffs)]), p)
             for p in polys)
         refuse_series_route(monkeypatch)
-        refuse_sweep(monkeypatch)
+        refuse_bareiss(monkeypatch)
         for R, (cert, counts) in zip(functions, expected):
             assert outcome(is_r_function, R) == cert, R
             assert outcome(pole_sign_count, R) == counts, R
@@ -331,6 +331,13 @@ class TestStructuredFamilies:
     def test_derivative_family_small_degrees_empty(self):
         assert derivative_family(P(1, 2, 1)) == ()
         assert derivative_family(P(1, 1)) == ()
+
+    def test_families_of_the_zero_polynomial(self):
+        # its degree, -inf, compares below every int
+        zero = Polynomial([])
+        assert derivative_family(zero) == ()
+        with pytest.raises(InvalidInputError, match="degree >= 1"):
+            subsample_family(zero, 1)
 
     def test_derivative_family_preserves_stability(self):
         p = P(1, 10, 35, 50, 24)       # roots -1..-4
@@ -445,7 +452,7 @@ def _hankel_descartes_verdict(f):
     r = G.den.degree
     s = laurent_expand(G, r).s
     hankel = [[s[i + k] for k in range(r)] for i in range(r)]
-    if any(d <= 0 for d in leading_principal_minors(hankel)):
+    if any(d <= 0 for d in leading_minors(hankel)):
         return False
     return strong_sign_changes(f.coeffs) == 0
 
@@ -567,13 +574,10 @@ class TestDerivedSplits:
         # p's Routh array gives the even factor, and the root check on it
         # is a second Routh array, so past a whole zero row (or a complete
         # array) no image takes a gcd, a Laurent series, a Hankel table or
-        # a Bareiss sweep
-        def refuse(*args):
-            raise AssertionError("a second kernel ran")
+        # a Bareiss determinant
         stalls = [_routh(p.coeffs)[2] for p in _split_inputs()]
         refuse_series_route(monkeypatch)
-        monkeypatch.setattr(sys.modules["genhurwitz.minors"],
-                            "leading_principal_minors", refuse)
+        refuse_bareiss(monkeypatch)
         reached = set()
         for p, stalled in zip(_split_inputs(), stalls):
             if stalled:
@@ -610,12 +614,12 @@ class TestDerivedSplits:
     def test_no_image_takes_euclid_series_or_sweep(self, monkeypatch):
         # p's chain gives the even factor (Routh array or, past a stall,
         # signed subresultants), and the root check on it is a second
-        # chain, so no image takes a gcd, a Laurent series, a Hankel table,
-        # a determinant or a Bareiss sweep, stalled arrays included
+        # chain, so no image takes a gcd, a Laurent series, a Hankel table
+        # or a Bareiss determinant, stalled arrays included
         inputs = list(_split_inputs()) + list(_mixed_corpus())
         reports = [classify(p) for p in inputs]
         refuse_series_route(monkeypatch)
-        refuse_sweep(monkeypatch)
+        refuse_bareiss(monkeypatch)
         reached = set()
         for p, report in zip(inputs, reports):
             assert classify(p) == report, p

@@ -291,17 +291,14 @@ def refuse_series_route(monkeypatch):
                 monkeypatch.setattr(module, fn, refuse)
 
 
-def refuse_sweep(monkeypatch):
-    """Make `leading_principal_minors` and `exact_det` raise at every
+def refuse_bareiss(monkeypatch):
+    """Make `exact_det`, the one Bareiss elimination, raise at every
     binding."""
     def refuse(*args):
-        raise AssertionError("a determinant or the leading-minor sweep ran")
+        raise AssertionError("a Bareiss determinant ran")
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "genhurwitz":
-            continue
-        for fn in ("leading_principal_minors", "exact_det"):
-            if hasattr(module, fn):
-                monkeypatch.setattr(module, fn, refuse)
+        if name.split(".")[0] == "genhurwitz" and hasattr(module, "exact_det"):
+            monkeypatch.setattr(module, "exact_det", refuse)
 
 
 def rfunc_digest(functions, polynomials):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, islice
 from math import prod
@@ -14,7 +15,6 @@ from genhurwitz.polyalg import (
     LaurentSeries,
     Polynomial,
     RationalFunction,
-    associated_function,
     compose_even,
     even_odd_split,
     laurent_expand,
@@ -34,14 +34,13 @@ from genhurwitz.minors import (
     hankel_character_test,
     hankel_minors,
     hurwitz_minors,
-    leading_principal_minors,
     nabla_minors,
     scf_frobenius,
     strong_sign_changes,
     total_nonnegativity_scan,
 )
 
-from test_golden import refuse_series_route, refuse_sweep
+from test_golden import refuse_bareiss, refuse_series_route
 
 F = Fraction
 
@@ -50,9 +49,16 @@ def P(*cs):
     return Polynomial(list(cs))
 
 
+def leading_minors(rows):
+    """M_1..M_n, each order its own `exact_det`: the Bareiss oracle for
+    every minor chain."""
+    return [exact_det([row[:k] for row in rows[:k]])
+            for k in range(1, len(rows) + 1)]
+
+
 def finite_hurwitz_matrix(p):
     """The n x n Hurwitz matrix, row t, column c holding a_{2c+1-t}: its
-    Bareiss sweep is the oracle for `hurwitz_minors`."""
+    `leading_minors` are the oracle for `hurwitz_minors`."""
     n = p.degree
     a = [F(0)] * n + list(p.coeffs) + [F(0)] * n
     return [a[n + 1 - t:3 * n + 1 - t:2] for t in range(n)]
@@ -167,15 +173,6 @@ class TestExactDet:
         rows = [[F(0), F(1)], [F(1), F(0)]]
         assert exact_det(rows) == -1
 
-    def test_leading_chain(self):
-        rows = [[F(2), F(0), F(1)], [F(1), F(1), F(0)], [F(0), F(3), F(1)]]
-        chain = leading_principal_minors(rows)
-        assert chain == [F(2), F(2), exact_det(rows)]
-
-    def test_leading_chain_survives_zero_minor(self):
-        rows = [[F(0), F(1)], [F(1), F(1)]]
-        assert leading_principal_minors(rows) == [F(0), F(-1)]
-
 
 class TestHankelMinors:
     def test_alternating_series(self):
@@ -205,33 +202,6 @@ class TestHankelMinors:
     def test_negative_order_refused(self):
         with pytest.raises(InvalidInputError):
             hankel_minors(LaurentSeries(F(0), F(0), ()), -1)
-
-    def test_sweeps_match_per_order_determinants(self):
-        # every D_j and Dhat_j as its own exact_det, on series whose
-        # sweeps run clean, stall at a vanishing minor mid-chain, or lose
-        # rank (a rational function expanded past its pole count)
-        rng = random.Random(5)
-        cases = [series_of([1], [1, -2], 3),          # rank one
-                 series_of([1, 0], [1, 0, -1], 4),    # rank two, order four
-                 LaurentSeries(F(0), F(0), (F(0), F(1), F(0), F(2),
-                                            F(1), F(0))),
-                 LaurentSeries(F(0), F(0), (F(0),) * 6)]
-        for _ in range(200):
-            terms = tuple(F(rng.randint(-2, 2), rng.choice([1, 2]))
-                          for _ in range(2 * rng.randint(1, 5)))
-            cases.append(LaurentSeries(F(0), F(0), terms))
-        stalled = 0
-        for series in cases:
-            order = len(series.s) // 2
-            s = series.s
-            mn = hankel_minors(series, order)
-            for j in range(1, order + 1):
-                assert mn.D[j - 1] == exact_det(
-                    [[s[i + k] for k in range(j)] for i in range(j)])
-                assert mn.Dhat[j - 1] == exact_det(
-                    [[s[i + k + 1] for k in range(j)] for i in range(j)])
-            stalled += any(d == 0 for d in mn.D[:-1] + mn.Dhat[:-1])
-        assert stalled >= 20
 
 
 class TestHankelCharacter:
@@ -271,14 +241,22 @@ class TestHurwitzMinors:
         assert hm.eta == (F(1), F(4), F(10), F(-60))
 
     def test_eta_is_shifted_delta_chain(self):
-        # eta is built from Delta; sweep the infinite layout independently
+        # eta is read off Delta; the infinite layout's minors are not
         for p in (P(3, 1, 4, 1, 5), P(1, 0, 1, 0, 1), P(2, 0, 0, 1), P(7)):
             hm = hurwitz_minors(p)
             block = infinite_hurwitz_block(p, p.degree + 1)
-            assert hm.eta == tuple(leading_principal_minors(block))
+            assert hm.eta == tuple(leading_minors(block))
             assert hm.eta[0] == p.coeffs[0]
             for j in range(1, len(hm.delta) + 1):
                 assert hm.eta[j] == p.coeffs[0] * hm.delta[j - 1]
+
+    def test_eta_is_read_on_request(self):
+        # eta is no field of the chain, and Delta_{-1} = 1/a_0 needs none
+        hm = hurwitz_minors(P(-2, 3, 5, 7))
+        assert [f.name for f in fields(hm)] == ["delta", "a0", "n",
+                                                "halves_gcd"]
+        assert hm.eta == (F(-2),) + tuple(-2 * d for d in hm.delta)
+        assert hm.d(-1) == F(-1, 2)
 
     def test_layouts(self):
         p = P(1, 4, 1, -6)
@@ -295,7 +273,7 @@ class TestHurwitzMinors:
             hurwitz_minors(Polynomial([]))
 
     def test_routh_array_matches_bareiss_and_euclid(self):
-        """The Routh chain against the Bareiss sweep of the finite matrix,
+        """The Routh chain against the Bareiss minors of the finite matrix,
         and its even factor against the Euclid on the halves, over every
         way the array can end."""
         rng = random.Random(66)
@@ -315,7 +293,7 @@ class TestHurwitzMinors:
         ends = set()
         for p in polys:
             hm = hurwitz_minors(p)
-            bareiss = leading_principal_minors(finite_hurwitz_matrix(p))
+            bareiss = leading_minors(finite_hurwitz_matrix(p))
             assert hm.delta == tuple(bareiss), p
             found, aux, stalled = _routh(p.coeffs)
             assert hm.delta[:len(found)] == tuple(found), p
@@ -386,7 +364,7 @@ class TestNablaMinors:
         for p, q, size in nabla_corpus():
             nm = nabla_minors(p, q, size)
             rows = interleaved_matrix(p, q, nm.size)
-            assert nm.nabla == tuple(leading_principal_minors(rows)), (p, q)
+            assert nm.nabla == tuple(leading_minors(rows)), (p, q)
             n = p.degree
             cases.add("2n+1" if q.degree == n else
                       "2n" if nm.size == 2 * n else "2n+1 padded")
@@ -404,31 +382,31 @@ class TestNablaMinors:
 class TestOneRouthArray:
     def test_no_leading_minor_sweep(self, monkeypatch):
         # the pair minors and a stalled chain come from the Routh array
-        # and single determinants, never from the leading-minor sweep
+        # and signed subresultants, never from a Bareiss determinant
         pairs = list(nabla_corpus())
         stalled = list(islice(stalled_corpus(), 300))
         nablas = [nabla_minors(*args) for args in pairs]
         chains = [hurwitz_minors(p) for p in stalled]
-        refuse_sweep(monkeypatch)
+        refuse_bareiss(monkeypatch)
         assert [nabla_minors(*args) for args in pairs] == nablas
         assert [hurwitz_minors(p) for p in stalled] == chains
-        with pytest.raises(AssertionError, match="sweep"):
+        with pytest.raises(AssertionError, match="determinant"):
             hankel_minors(LaurentSeries(F(0), F(0), (F(1), F(1))), 1)
 
     def test_stalled_chain_is_one_subresultant_route(self, monkeypatch):
         # past an entry stall the chain and the even factor come from the
         # signed subresultants of the halves alone, and agree with the
-        # Bareiss sweep of the finite matrix and the Euclid on the halves
+        # Bareiss minors of the finite matrix and the Euclid on the halves
         polys = list(islice(stalled_corpus(), 400))
         oracles = []
         for p in polys:
             halves = even_odd_split(p)
             oracles.append((
-                tuple(leading_principal_minors(finite_hurwitz_matrix(p))),
+                tuple(leading_minors(finite_hurwitz_matrix(p))),
                 poly_gcd(halves.p0, halves.p1)))
 
         refuse_series_route(monkeypatch)
-        refuse_sweep(monkeypatch)
+        refuse_bareiss(monkeypatch)
         cases = set()
         for p, (bareiss, halves_gcd) in zip(polys, oracles):
             found, _, stalled = _routh(p.coeffs)

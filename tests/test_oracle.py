@@ -15,7 +15,6 @@ from genhurwitz.oracle import (
     IndeterminateVerdict,
     NumericPartialFraction,
     OracleFailureError,
-    RootSet,
     StructureSpec,
     UnrealizableSpecError,
     classify_by_roots,

@@ -71,6 +71,7 @@ class TestPolynomialBasics:
     def test_derivative(self):
         assert P(1, 0, -4).derivative().coeffs == (F(2), F(0))
         assert P(5).derivative().is_zero()
+        assert Polynomial([]).derivative(2).is_zero()
         assert P(1, 1, 1, 1).derivative(2).coeffs == (F(6), F(2))
 
     def test_monic(self):

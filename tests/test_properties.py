@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,6 @@ from genhurwitz.minors import (
     exact_det,
     hankel_minors,
     hurwitz_minors,
-    leading_principal_minors,
     scf_frobenius,
     strong_sign_changes,
 )
@@ -38,7 +36,11 @@ from genhurwitz.classify import (
 )
 from genhurwitz.simatrix import ExactMatrix, char_poly, flip
 
-from test_minors import finite_hurwitz_matrix, infinite_hurwitz_block
+from test_minors import (
+    finite_hurwitz_matrix,
+    infinite_hurwitz_block,
+    leading_minors,
+)
 
 F = Fraction
 
@@ -85,7 +87,7 @@ def even_factors(draw):
 def mixed_matrices(draw, max_n=5):
     """Square matrices of ints and Fractions of unlike denominators; a
     zero corner or a row copied at a rational scale makes some leading
-    minors vanish, so the sweep stalls into its per-order fallback."""
+    minors vanish, so Bareiss needs a row swap or stops at a zero pivot."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     entry = st.one_of(st.integers(min_value=-3, max_value=3),
                       st.fractions(min_value=-3, max_value=3,
@@ -209,10 +211,10 @@ class TestPolynomialInvariants:
 class TestMinorInvariants:
     @given(polynomials())
     def test_eta_chain_is_scaled_delta_chain(self, p):
-        # eta is built from Delta; the sweep of the infinite layout is not
+        # eta is read off Delta; the infinite layout's minors are not
         hm = hurwitz_minors(p)
         block = infinite_hurwitz_block(p, p.degree + 1)
-        assert hm.eta == tuple(leading_principal_minors(block))
+        assert hm.eta == tuple(leading_minors(block))
         a0 = p.coeffs[0]
         assert hm.eta[0] == a0
         for j in range(1, len(hm.eta)):
@@ -272,12 +274,11 @@ class TestMinorInvariants:
     @example(Polynomial([1, 1, 1, 1]))        # Delta_2 = 0 in a nonzero row
     @example(Polynomial([F(1, 2), 0, F(3, 4), F(1, 3), 0]))
     def test_routh_chain_and_even_factor(self, p):
-        """hurwitz_minors' Routh array against the Bareiss sweep of the
+        """hurwitz_minors' Routh array against the Bareiss minors of the
         finite matrix, and the even factor it reads off a whole zero row
         against sympy's gcd of the halves."""
         hm = hurwitz_minors(p)
-        assert hm.delta == tuple(
-            leading_principal_minors(finite_hurwitz_matrix(p)))
+        assert hm.delta == tuple(leading_minors(finite_hurwitz_matrix(p)))
         split = even_odd_split(p)
         u = sympy.Symbol("u")
         shared = sympy.gcd(_sympy_poly(split.p0, u),
@@ -307,10 +308,10 @@ class TestMinorInvariants:
     @example([[F(1, 2), 1, F(2, 3)], [1, 2, F(4, 3)], [0, F(1, 5), 7]])
     @example([[0, F(1, 3), 2], [F(1, 4), 0, 1], [3, F(2, 7), 0]])
     def test_determinant_kernels_on_mixed_entries(self, rows):
-        n = len(rows)
-        assert exact_det(rows) == _gauss_det(rows)
-        assert leading_principal_minors(rows) == [
-            _gauss_det([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+        # every leading block, so zero pivots and row swaps are reached
+        assert leading_minors(rows) == [
+            _gauss_det([row[:k] for row in rows[:k]])
+            for k in range(1, len(rows) + 1)]
 
     @given(small_integer_polynomials())
     def test_origin_strip_keeps_the_prefix(self, p):

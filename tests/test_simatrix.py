@@ -323,6 +323,24 @@ class TestAntiTridiagonal:
         assert anti_tridiagonal_criterion(passing)
         assert not anti_tridiagonal_criterion(failing)
 
+    def test_minor_vanishing_mid_chain(self):
+        # the flipped (tridiagonal) matrix has theta_2 = 0 and theta_3 < 0,
+        # where a leading-minor elimination meets a zero pivot; the signed
+        # corner minors vanish mid-chain too
+        cases = [([[0, 1, 1], [1, 1, 1], [1, 1, 0]], [1, 0, -1], [1, 0, -1]),
+                 ([[0, 0, 2, 1], [0, 1, 5, 1], [4, 1, 3, 0],
+                   [2, F(1, 2), 0, 0]], [2, 0, -6, -6], [1, 3, 0, -6])]
+        for rows, thetas, corners in cases:
+            A = M(rows)
+            n = A.n
+            T = A.rows[::-1]
+            assert [exact_det([r[:k] for r in T[:k]])
+                    for k in range(1, n + 1)] == thetas
+            signs = flip_signature(n)
+            assert [A.minor(range(k), range(n - k, n)) * signs[k - 1]
+                    for k in range(1, n + 1)] == corners
+            assert not anti_tridiagonal_criterion(A)
+
 
 class TestRandomTn:
     def test_certified_totally_nonnegative(self):

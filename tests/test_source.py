@@ -5,7 +5,8 @@ import doctest
 import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "genhurwitz"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "genhurwitz"
 
 
 def test_no_assert_statements():
@@ -20,10 +21,10 @@ def test_no_assert_statements():
 
 
 def test_no_unused_imports():
-    # every imported name is read somewhere in its module; the package
-    # __init__ re-exports, so it is exempt
+    # every imported name is read somewhere in its module, library and
+    # tests alike; the package __init__ re-exports, so it is exempt
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -37,7 +38,7 @@ def test_no_unused_imports():
                     imported[name] = node.lineno
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}"
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
 

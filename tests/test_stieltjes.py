@@ -21,7 +21,6 @@ from genhurwitz.polyalg import (
     poly_gcd,
 )
 from genhurwitz.stieltjes import (
-    ExtendedCF,
     NoCFError,
     StieltjesCF,
     cf_from_hurwitz_minors,
@@ -33,8 +32,8 @@ from genhurwitz.stieltjes import (
 
 from test_golden import (
     outcome,
+    refuse_bareiss,
     refuse_series_route,
-    refuse_sweep,
     rfunc_corpus,
     stalled,
 )
@@ -117,7 +116,7 @@ class TestStieltjesExpand:
         expected = [(outcome(stieltjes_expand, R), outcome(extended_expand, R))
                     for R in inputs]
         refuse_series_route(monkeypatch)
-        refuse_sweep(monkeypatch)
+        refuse_bareiss(monkeypatch)
         cases = set()
         for R, (cf, ext) in zip(inputs, expected):
             assert outcome(stieltjes_expand, R) == cf, R
@@ -135,8 +134,8 @@ class TestStieltjesExpand:
 class TestHankelFromHurwitz:
     def test_matches_the_series_route(self):
         # the old route is the oracle: reduce by a Euclid, expand at
-        # infinity, two Bareiss sweeps; past one linear term of growth it
-        # expands num mod den, whose minors are R's
+        # infinity, one determinant per minor; past one linear term of
+        # growth it expands num mod den, whose minors are R's
         for R in rfunc_corpus():
             q, rest = divmod(R.num, R.den)
             mn = _proper_hankel(rest, R.den)
@@ -308,7 +307,7 @@ class TestReconstruct:
 class TestOneRouthArray:
     def test_no_leading_minor_sweep(self, monkeypatch):
         # both expansions and the polynomial route read one Routh array,
-        # stalled ones included, and never take the leading-minor sweep
+        # stalled ones included, and never take a Bareiss determinant
         functions = list(rfunc_corpus())
         rng = random.Random(1517)
         polys = [P(*([rng.choice([-2, -1, 1, 2])] + [
@@ -319,12 +318,12 @@ class TestOneRouthArray:
         cfs = [outcome(cf_from_hurwitz_minors, p) for p in polys]
         assert any(stalled(R.num, R.den) for R in functions)
         assert any(_routh(p.coeffs)[2] for p in polys)
-        refuse_sweep(monkeypatch)
+        refuse_bareiss(monkeypatch)
         for R, (cf, ext) in zip(functions, expected):
             assert outcome(stieltjes_expand, R) == cf, R
             assert outcome(extended_expand, R) == ext, R
         assert [outcome(cf_from_hurwitz_minors, p) for p in polys] == cfs
-        with pytest.raises(AssertionError, match="sweep"):
+        with pytest.raises(AssertionError, match="determinant"):
             hankel_minors(laurent_expand(RF([1], [1, 1]), 1), 1)
 
 
