@@ -15,20 +15,26 @@ The taxonomy, decided purely from determinant signs:
                               left half plane
     unclassified              none of the above
 
-The decision tree (`_decide`) runs on four facts: the degree, whether
-the constant term is zero, the Hurwitz minor chain and the even-factor
-split p = f(z^2) q.  It tries a gate of odd-position minors, then a
-Frobenius-rule sign change count for the order k; the failure branches
-use the split and the duality transform.  Only when that gives no
-verdict does `classify` run it once more, for the reflection z -> -z.
+The decision tree (`_decide`) reads integer signs and split facts: the
+degree, whether the constant term is zero, the signs of the Hurwitz minor
+chain and three facts of the even-factor split p = f(z^2) q, namely f,
+deg q and whether q(0) = 0.  It tries a gate of odd-position minors,
+then a Frobenius-rule sign change count for the order k; the failure
+branches use the split facts and the duality transform.  Only when that
+gives no verdict does `classify` run it once more, for the reflection
+z -> -z.
 
 Each classification runs p's fraction-free Routh array once
 (`hurwitz_minors`), which gives the chain and the even factor
-f = gcd(p0, p1); p is split once.  The dual and reflected images take
-their minor chains from p's by fixed sign laws, the dual its split from
-p's split, and the reflection p's split itself: reflect(p) =
-f(z^2) reflect(q), and the tree reads only f, deg q and whether q(0) = 0,
-all three unchanged.  No cofactor takes a second sweep:
+f = gcd(p0, p1); the other two split facts follow from degrees and zeros
+at the origin, with no division.  The dual and reflected images take
+their sign chains from p's by fixed sign laws, the dual its split facts
+from p's (f(-u), the same deg q and q(0) bit), and the reflection p's
+facts themselves: reflect(p) = f(z^2) reflect(q) leaves all three
+unchanged.  The cofactor q, the dual image and the exact minor values
+are built only for the report that is kept, and q and the image only
+for the quasi-stable or quasi-self-interlacing verdict that shows them.
+No cofactor is swept:
 a_j(p) = sum_i f_i a_{j-2i}(q) gives H(p) = H(q) U_f, with U_f the upper
 triangular Toeplitz matrix of f's coefficients, so
 Delta_k(f(z^2) q) = lc(f)^k Delta_k(q) for k <= deg q, and for the monic
@@ -58,6 +64,7 @@ from .minors import (
     HurwitzMinors,
     _proper_hankel,
     _routh,
+    _sign,
     hurwitz_minors,
     scf_frobenius,
     strong_sign_changes,
@@ -212,47 +219,61 @@ def _real_nonpositive_u_roots(f: Polynomial) -> bool:
     return not stalled and all(d > 0 for d in delta)
 
 
-class _EvenSplit(NamedTuple):
-    """p = f(z^2) * q with f = gcd(p0, p1), monic in u."""
+class _SplitFacts(NamedTuple):
+    """What the tree reads of p = f(z^2) q, f = gcd(p0, p1) monic in u:
+    f itself, deg q and whether q(0) = 0."""
     f: Polynomial
-    q: Polynomial
+    q_degree: int
+    origin: bool
 
 
-def _even_split(p: Polynomial, hm: HurwitzMinors) -> _EvenSplit:
-    """The even-factor split of p, given its Hurwitz minors.
+def _zeros_at_origin(p: Polynomial) -> int:
+    """The multiplicity of 0 as a zero of the nonzero p."""
+    cs = p.coeffs
+    return next(k for k in range(len(cs)) if cs[-1 - k])
 
-    f is `hm.halves_gcd`; q is not swept (see `_quasi_stable_check`).
+
+def _split_facts(p: Polynomial, hm: HurwitzMinors) -> _SplitFacts:
+    """The split facts of p, given its Hurwitz minors, with no division.
+
+    f is `hm.halves_gcd` and deg q = n - 2 deg f; q(0) = 0 iff
+    mult_z(p) - 2 mult_u(f) >= 1, since mult_z(p) = 2 mult_u(f) + mult_z(q).
     """
     f = hm.halves_gcd
-    if f.degree == 0:
-        return _EvenSplit(f, p)
-    return _EvenSplit(f, p // compose_even(f))
+    origin = (p.coeffs[-1] == 0
+              and _zeros_at_origin(p) > 2 * _zeros_at_origin(f))
+    return _SplitFacts(f, p.degree - 2 * f.degree, origin)
 
 
-def _quasi_stable_check(split: _EvenSplit, delta: Tuple[Fraction, ...]):
-    """Exact quasi-stability with degeneracy count.
+def _quasi_degeneracy(signs: Sequence[int],
+                      facts: _SplitFacts) -> Optional[int]:
+    """Exact quasi-stability: the degeneracy count m, or None.
 
-    `split` is p = f(z^2) q (see `_even_split`) and `delta` is p's minor
-    chain.  p is quasi-stable iff f has only real nonpositive u-roots and
-    the origin-stripped cofactor is Hurwitz stable.  q's halves are
-    coprime, so z^2 never divides it.  With f monic, q's chain is `delta`
-    through deg q (see the module docstring) and that of q/z one entry
-    shorter, so no cofactor is swept; nor is the root check memoized.
-
-    Returns (m, certificate), or None when p is not quasi-stable.
+    `signs` is the sign chain of p and `facts` its split p = f(z^2) q
+    (see `_split_facts`).  p is quasi-stable iff f has only real
+    nonpositive u-roots and the origin-stripped cofactor is Hurwitz
+    stable.  q's halves are coprime, so z^2 never divides it.  With f
+    monic, q's chain is p's through deg q (see the module docstring) and
+    that of q/z one entry shorter, so no cofactor is built or swept; nor
+    is the root check memoized.
     """
-    f, q = split
-    m = 2 * f.degree
-    cert = {"even_factor_u": f, "cofactor": q}
-    stripped = q.degree
-    if q.power_coeff(0) == 0:
-        stripped -= 1
-        m += 1
-        cert["cofactor_origin_zero"] = True
-    if not (all(d > 0 for d in delta[:stripped])
+    f, q_degree, origin = facts
+    if (all(s > 0 for s in signs[:q_degree - origin])
             and _real_nonpositive_u_roots(f)):
-        return None
-    return m, cert
+        return 2 * f.degree + origin
+    return None
+
+
+def _quasi_certificate(image: Polynomial, facts: _SplitFacts) -> Dict:
+    """The certificate of a quasi-stable `image` (p or its dual) with split
+    facts `facts`: f, the cofactor q = image / f(z^2), and q(0) = 0 when
+    it holds.  Built only for a report that keeps it, whose m >= 2 makes
+    deg f >= 1."""
+    f = facts.f
+    cert = {"even_factor_u": f, "cofactor": image // compose_even(f)}
+    if facts.origin:
+        cert["cofactor_origin_zero"] = True
+    return cert
 
 
 def _dual_sign(j: int, n: int) -> int:
@@ -279,8 +300,9 @@ def dual_transform(p: Polynomial) -> Polynomial:
     return Polynomial([_dual_sign(j, n) * c for j, c in enumerate(p.coeffs)])
 
 
-def _reflected_delta(delta: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    """Hurwitz minors of the sign-normalized reflection from those of p.
+def _reflected_delta(delta: Sequence) -> Tuple:
+    """Hurwitz minors of the sign-normalized reflection from those of p,
+    or the signs of the one from the signs of the other.
 
     For p with positive leading coefficient, reflect(p) = p(-z) negates
     a_j for odd n-j; Hurwitz entry (t, c) holds j = 2c+1-t, so row t is
@@ -292,8 +314,9 @@ def _reflected_delta(delta: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
                   for k, d in enumerate(delta, start=1)])
 
 
-def _dual_delta(delta: Tuple[Fraction, ...], n: int) -> Tuple[Fraction, ...]:
-    """Hurwitz minors of dual_transform(p) from those of p.
+def _dual_delta(delta: Sequence, n: int) -> Tuple:
+    """Hurwitz minors of dual_transform(p) from those of p, or the signs
+    of the one from the signs of the other.
 
     Entry (t, c) holds j = 2c+1-t and sigma_{2c+1-t} = (-1)^c sigma_{1-t},
     so row t and column t are scaled by sigma_{1-t} and (-1)^t.
@@ -305,71 +328,89 @@ def _dual_delta(delta: Tuple[Fraction, ...], n: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _dual_split(split: _EvenSplit) -> _EvenSplit:
-    """The split of dual_transform(p) from that of p.
+def _dual_facts(facts: _SplitFacts) -> _SplitFacts:
+    """The split facts of dual_transform(p) from those of p.
 
     The dual's halves are s*p0(-u) and -s*p1(-u), so its even factor is
     monic f(-u) (f's odd-index coefficients negated) and its cofactor is
-    dual_transform(q): both maps keep the leading coefficient.
+    dual_transform(q): both maps keep the leading coefficient, and the
+    dual keeps the degree and whether the constant term is zero.
     """
-    f = Polynomial([-c if i % 2 else c for i, c in enumerate(split.f.coeffs)])
-    return _EvenSplit(f, dual_transform(split.q))
+    return facts._replace(f=Polynomial(
+        [-c if i % 2 else c for i, c in enumerate(facts.f.coeffs)]))
 
 
 # ---------------------------------------------------------------------------
 # the classifier
 
-def _decide(n: int, const_zero: bool, delta: Tuple[Fraction, ...],
-            split: _EvenSplit) -> ClassificationReport:
+def _decide(n: int, const_zero: bool, signs: Sequence[int],
+            facts: _SplitFacts) -> Tuple[ClassificationReport, Optional[int]]:
     """The decision tree on a degree-n (n >= 2) polynomial, given whether
-    its constant term is zero, its minor chain and its even-factor split.
+    its constant term is zero, the signs of its minor chain and its split
+    facts.
 
+    Returns the report, without certificates (see `_certificates`), and
+    the order k of the Frobenius count when the gate passed, else None.
     Labelled `unclassified` when no criterion matches; the reflection is
     the caller's.  Under the gate the order sequence never starts with 0:
     Delta_n = a_n Delta_{n-1} with Delta_{n-1} > 0, and when a_n = 0,
     Delta_{n-1} = a_{n-1} Delta_{n-2}, so `scf_frobenius` has its anchor.
     """
-    cert: Dict = {"delta": list(delta)}
-    gate_idx = list(range(n - 1, 0, -2))
-    gate = all(delta[i - 1] > 0 for i in gate_idx)
-    cert["gate_indices"] = gate_idx
-    cert["gate_passed"] = gate
-
-    if gate:
+    if all(signs[i - 1] > 0 for i in range(n - 1, 0, -2)):
         top = n - 2 if const_zero else n
-        seq = [delta[i - 1] for i in range(top, 0, -2)] + [Fraction(1)]
-        k = scf_frobenius(seq) + (1 if const_zero else 0)
-        cert["scf_sequence"] = seq
-        cert["order"] = k
-        cert["constant_term_zero"] = const_zero
+        k = (scf_frobenius([signs[i - 1] for i in range(top, 0, -2)] + [1])
+             + (1 if const_zero else 0))
         if k == 0:
-            return ClassificationReport(LABEL_STABLE, order_k=0,
-                                        certificates=cert)
-        if const_zero and k == 1:
+            report = ClassificationReport(LABEL_STABLE, order_k=0)
+        elif const_zero and k == 1:
             # z times a stable polynomial: the whole minor chain below the
             # top is positive
-            return ClassificationReport(LABEL_QUASI, degeneracy_m=1,
-                                        certificates=cert)
-        if k == (n + 1) // 2:
-            return ClassificationReport(
+            report = ClassificationReport(LABEL_QUASI, degeneracy_m=1)
+        elif k == (n + 1) // 2:
+            report = ClassificationReport(
                 LABEL_ALMOST_SI if const_zero else LABEL_SI, order_k=k,
-                si_type="I", certificates=cert)
-        return ClassificationReport(LABEL_GH, order_k=k, si_type="I",
-                                    certificates=cert)
+                si_type="I")
+        else:
+            report = ClassificationReport(LABEL_GH, order_k=k, si_type="I")
+        return report, k
 
-    quasi = _quasi_stable_check(split, delta)
-    if quasi is not None:
-        cert["quasi_certificate"] = quasi[1]
-        return ClassificationReport(LABEL_QUASI, degeneracy_m=quasi[0],
-                                    certificates=cert)
-    quasi = _quasi_stable_check(_dual_split(split), _dual_delta(delta, n))
-    if quasi is not None and quasi[0] >= 2:
+    m = _quasi_degeneracy(signs, facts)
+    if m is not None:
+        return ClassificationReport(LABEL_QUASI, degeneracy_m=m), None
+    m = _quasi_degeneracy(_dual_delta(signs, n), _dual_facts(facts))
+    if m is not None and m >= 2:
         # m = 1 cannot reach this branch (that shape passes the gate);
         # the bound keeps the label disjoint from almost-self-interlacing
-        cert["dual_quasi_certificate"] = quasi[1]
-        return ClassificationReport(LABEL_QUASI_SI, degeneracy_m=quasi[0],
-                                    si_type="I", certificates=cert)
-    return ClassificationReport(LABEL_NONE, certificates=cert)
+        return ClassificationReport(LABEL_QUASI_SI, degeneracy_m=m,
+                                    si_type="I"), None
+    return ClassificationReport(LABEL_NONE), None
+
+
+def _certificates(p: Polynomial, delta: Tuple[Fraction, ...],
+                  const_zero: bool, facts: _SplitFacts,
+                  report: ClassificationReport, k: Optional[int]) -> Dict:
+    """The certificates of p's report from `_decide` (k as it returned):
+    p's exact minor chain and gate, then the order sequence and k when the
+    gate passed, or the quasi certificate of p, or that of its dual image
+    and the image itself, for the verdict that shows one."""
+    n = p.degree
+    gate_idx = list(range(n - 1, 0, -2))
+    cert: Dict = {"delta": list(delta), "gate_indices": gate_idx,
+                  "gate_passed": k is not None}
+    if k is not None:
+        top = n - 2 if const_zero else n
+        cert["scf_sequence"] = ([delta[i - 1] for i in range(top, 0, -2)]
+                                + [Fraction(1)])
+        cert["order"] = k
+        cert["constant_term_zero"] = const_zero
+    elif report.label == LABEL_QUASI:
+        cert["quasi_certificate"] = _quasi_certificate(p, facts)
+    elif report.label == LABEL_QUASI_SI:
+        image = dual_transform(p)
+        cert["dual_quasi_certificate"] = _quasi_certificate(
+            image, _dual_facts(facts))
+        cert["dual_image"] = image
+    return cert
 
 
 def classify(p: Union[Polynomial, Sequence]) -> ClassificationReport:
@@ -379,11 +420,13 @@ def classify(p: Union[Polynomial, Sequence]) -> ClassificationReport:
     leading coefficient is normalized positive first (recorded in the
     certificates), which never moves a zero.
 
-    One Hurwitz minor sweep and one even-factor split serve the whole
-    tree.  `_decide` runs on p's chain; only if it gives no verdict does
-    it run again on the reflected chain with p's split, and a type I
-    verdict there is p's type II one.  Of that second run the report keeps
-    the label only (`reflected_label`).
+    One Hurwitz minor sweep serves the whole tree: `_decide` runs on the
+    signs of p's chain and on p's split facts; only if it gives no verdict
+    does it run again on the reflected signs with the same facts, and a
+    type I verdict there is p's type II one.  Of that second run the
+    report keeps the label only (`reflected_label`), so it builds no
+    certificate; the first run's exact values, cofactor and dual image
+    are built only for the verdict that shows them (`_certificates`).
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
@@ -411,16 +454,15 @@ def classify(p: Union[Polynomial, Sequence]) -> ClassificationReport:
                                     certificates=cert)
 
     hm = hurwitz_minors(p)
-    split = _even_split(p, hm)
-    const_zero = p.power_coeff(0) == 0
-    report = _decide(n, const_zero, hm.delta, split)
-    cert.update(report.certificates)
-    if report.label == LABEL_QUASI_SI:
-        cert["dual_image"] = dual_transform(p)
+    signs = [_sign(d.numerator) for d in hm.delta]
+    facts = _split_facts(p, hm)
+    const_zero = p.coeffs[-1] == 0
+    report, k = _decide(n, const_zero, signs, facts)
+    cert.update(_certificates(p, hm.delta, const_zero, facts, report, k))
     if report.label != LABEL_NONE:
         return replace(report, certificates=cert)
 
-    inner = _decide(n, const_zero, _reflected_delta(hm.delta), split)
+    inner, _ = _decide(n, const_zero, _reflected_delta(signs), facts)
     cert["reflected_label"] = inner.label
     if inner.si_type == "I":
         return ClassificationReport(inner.label, order_k=inner.order_k,

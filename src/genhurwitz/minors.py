@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 from typing import List, Optional, Sequence, Tuple
 
 from .polyalg import (
@@ -27,6 +27,7 @@ from .polyalg import (
     InvalidInputError,
     LaurentSeries,
     Polynomial,
+    _clear_denominators,
     _rat,
     recompose_split,
 )
@@ -88,18 +89,13 @@ def _integerize(rows: Sequence[Sequence[Fraction]]):
     """Clear denominators row by row; returns (int matrix, row multipliers).
 
     The multipliers are positive, so minor signs are unchanged and the
-    original values come back by dividing the product out.  Entries are
-    Fractions or ints, scaled by integer arithmetic alone.
+    original values come back by dividing the product out.
     """
-    mults = []
-    m = []
+    m, mults = [], []
     for row in rows:
-        mult = 1
-        for x in row:
-            d = x.denominator
-            mult = mult * d // gcd(mult, d)
+        ints, mult = _clear_denominators(row)
+        m.append(ints)
         mults.append(mult)
-        m.append([x.numerator * (mult // x.denominator) for x in row])
     return m, mults
 
 
@@ -195,7 +191,7 @@ def _routh(coeffs: Sequence[Fraction]):
     integer row above the first whole zero row, or None; and whether a
     zero first entry in a nonzero row stopped the array.
     """
-    (a,), (scale,) = _integerize([coeffs])
+    a, scale = _clear_denominators(coeffs)
     above, row = a[0::2], a[1::2]
     leads: List[int] = []
     delta: List[Fraction] = []
@@ -322,7 +318,7 @@ def hurwitz_minors(p: Polynomial) -> HurwitzMinors:
     n = p.degree
     found, aux, stalled = _routh(p.coeffs)
     if stalled:
-        (a,), (scale,) = _integerize([p.coeffs])
+        a, scale = _clear_denominators(p.coeffs)
         a += [0] * (n % 2)
         sB, gB = _signed_subresultants(a[0::2], a[1::2])
         sR, gR = _signed_subresultants(a[0::2], [
@@ -416,7 +412,11 @@ def nabla_minors(p: Polynomial, q: Polynomial,
 # ---------------------------------------------------------------------------
 # sign change counting
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
+    """Sign of an int or of an exact rational (see `polyalg._rat`); ints,
+    sign chains among them, are read without a Fraction."""
+    if not isinstance(x, int):
+        x = _rat(x)
     return (x > 0) - (x < 0)
 
 
@@ -428,7 +428,7 @@ def scf_frobenius(seq: Sequence) -> int:
     for v = 1..j, after which changes are counted normally.  A leading
     zero leaves the rule without an anchor and is refused.
     """
-    vals = [_rat(x) for x in seq]
+    vals = [_sign(x) for x in seq]
     while vals and vals[-1] == 0:
         vals.pop()
     if not vals:
@@ -439,8 +439,7 @@ def scf_frobenius(seq: Sequence) -> int:
     signs = []
     anchor = 0
     run = 0
-    for x in vals:
-        s = _sign(x)
+    for s in vals:
         if s != 0:
             anchor, run = s, 0
         else:
@@ -452,7 +451,7 @@ def scf_frobenius(seq: Sequence) -> int:
 
 def strong_sign_changes(seq: Sequence) -> int:
     """Sign changes among the nonzero entries only."""
-    vals = [s for s in (_sign(_rat(x)) for x in seq) if s != 0]
+    vals = [s for s in map(_sign, seq) if s != 0]
     if not vals:
         raise InvalidSequenceError("sign changes of an all-zero sequence")
     return sum(1 for a, b in zip(vals, vals[1:]) if a != b)

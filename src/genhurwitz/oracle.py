@@ -29,6 +29,7 @@ from .polyalg import (
     Polynomial,
     RationalFunction,
     _check_growth,
+    _product,
     compose_even,
     even_odd_split,
     reflect,
@@ -407,13 +408,6 @@ def _linear(root) -> Polynomial:
 
 def _conj_quad(re: Fraction, im: Fraction) -> Polynomial:
     return Polynomial([1, -2 * re, re * re + im * im])
-
-
-def _product(factors) -> Polynomial:
-    p = Polynomial([1])
-    for f in factors:
-        p = p * f
-    return p
 
 
 def _grid(rng: random.Random, count: int, lo: int, hi: int) -> List[Fraction]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from math import lcm
+from typing import Iterable, List, Sequence, Tuple, Union
 
 __all__ = [
     "PolyError", "InvalidInputError", "DegenerateSplitError",
@@ -57,6 +58,15 @@ def _rat(value: Scalar) -> Fraction:
             raise InvalidInputError(f"bad rational literal {value!r}") from exc
     raise InvalidInputError(
         f"expected an exact rational, got {type(value).__name__}: {value!r}")
+
+
+def _clear_denominators(row: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(row * L as ints, L) with L > 0 the lcm of the entries' denominators.
+
+    Entries are Fractions or ints, scaled by integer arithmetic alone.
+    """
+    mult = lcm(*[x.denominator for x in row])
+    return [x.numerator * (mult // x.denominator) for x in row], mult
 
 
 class Polynomial:
@@ -131,13 +141,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            return _product((self, other))
         return Polynomial([c * _rat(other) for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -201,6 +205,23 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
+
+
+def _product(factors: Iterable[Polynomial]) -> Polynomial:
+    """The product of the factors (1 for none): integer convolutions of
+    their denominator-cleared coefficients, divided back once per term."""
+    out, scale = [1], 1
+    for f in factors:
+        b, mult = _clear_denominators(f.coeffs)
+        if not b:
+            return Polynomial()
+        conv = [0] * (len(out) + len(b) - 1)
+        for i, x in enumerate(out):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        out, scale = conv, scale * mult
+    return Polynomial([Fraction(c, scale) for c in out])
 
 
 def times_z(p: Polynomial, k: int = 1) -> Polynomial:

@@ -27,9 +27,10 @@ from genhurwitz.minors import (
 from genhurwitz.oracle import StructureSpec, generate_instance
 from genhurwitz.classify import (
     LABELS,
-    _dual_split,
-    _even_split,
+    _dual_facts,
+    _quasi_certificate,
     _real_nonpositive_u_roots,
+    _split_facts,
     classify,
     derivative_family,
     dual_transform,
@@ -521,32 +522,68 @@ class TestDerivedSplits:
     def test_match_the_direct_route_on_both_images(self):
         seen = set()
         for p in _split_inputs():
-            split = _even_split(p, hurwitz_minors(p))
-            for image, derived in ((p, split),
-                                   (dual_transform(p), _dual_split(split))):
-                assert tuple(derived) == _direct_split(image), image
+            facts = _split_facts(p, hurwitz_minors(p))
+            for image, derived in ((p, facts),
+                                   (dual_transform(p), _dual_facts(facts))):
+                cert = _quasi_certificate(image, derived)
+                q = cert["cofactor"]
+                assert (cert["even_factor_u"], q) == _direct_split(image), \
+                    image
+                assert q.degree == derived.q_degree, image
+                assert ((q.power_coeff(0) == 0) == derived.origin
+                        == ("cofactor_origin_zero" in cert)), image
                 # the cofactor's halves are coprime, so z^2 never divides
                 # it: at most a simple origin zero is left to strip
-                q = derived.q
                 assert q.power_coeff(0) != 0 or q.power_coeff(1) != 0, image
-            # the reflected run reuses p's split: the reflection's own
-            # split (and its dual's) differ from p's (and its dual's) only
-            # in facts the tree never reads
+            # the reflected run reuses p's split facts: the reflection's
+            # own split (and its dual's) differ from p's (and its dual's)
+            # only in facts the tree never reads
             rp = reflect(p)
             rp = -rp if rp.coeffs[0] < 0 else rp
-            for image, derived in ((rp, split),
-                                   (dual_transform(rp), _dual_split(split))):
+            for image, derived in ((rp, facts),
+                                   (dual_transform(rp), _dual_facts(facts))):
                 f, q = _direct_split(image)
                 assert f == derived.f, image
-                assert q.degree == derived.q.degree, image
-                assert ((q.power_coeff(0) == 0)
-                        == (derived.q.power_coeff(0) == 0)), image
-            origin = split.q.power_coeff(0) == 0
-            seen.add((split.f.degree > 0, origin,
-                      split.q.degree - origin == 0))
+                assert q.degree == derived.q_degree, image
+                assert (q.power_coeff(0) == 0) == derived.origin, image
+            seen.add((facts.f.degree > 0, facts.origin,
+                      facts.q_degree - facts.origin == 0))
         assert {(True, False, False), (True, True, False), (True, False, True),
                 (True, True, True), (False, False, False),
                 (False, True, False)} <= seen
+
+    def test_cofactors_and_dual_images_only_for_kept_certificates(
+            self, monkeypatch):
+        # the tree reads sign chains and split facts: the one division
+        # p // f(z^2) and the dual transforms run only for a report that
+        # shows a cofactor or a dual image
+        module = sys.modules["genhurwitz.classify"]
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+        for name in ("__divmod__", "__floordiv__"):
+            monkeypatch.setattr(Polynomial, name,
+                                counting(name, getattr(Polynomial, name)))
+        monkeypatch.setattr(module, "dual_transform",
+                            counting("dual", module.dual_transform))
+        reached = set()
+        for p in list(_split_inputs()) + list(_mixed_corpus()):
+            calls.clear()
+            cert = classify(p).certificates
+            kept = [key for key in ("quasi_certificate",
+                                    "dual_quasi_certificate", "dual_image")
+                    if key in cert]
+            assert calls == ((["dual"] if "dual_image" in cert else [])
+                             + (["__floordiv__", "__divmod__"] if kept
+                                else [])), p
+            # a report without them, after a reflected run or not
+            reached.update(kept or ["reflected_label" in cert])
+        assert reached == {False, True, "quasi_certificate",
+                           "dual_quasi_certificate", "dual_image"}
 
     def test_one_hurwitz_sweep_per_classification(self, monkeypatch):
         # no cofactor and no image is swept: each reads a prefix of, or a
@@ -615,26 +652,29 @@ class TestDerivedSplits:
         # p's chain gives the even factor (Routh array or, past a stall,
         # signed subresultants), and the root check on it is a second
         # chain, so no image takes a gcd, a Laurent series, a Hankel table
-        # or a Bareiss determinant, stalled arrays included
+        # or a Bareiss determinant, stalled arrays included; past a whole
+        # zero row (or a complete array) every certificate case is reached
         inputs = list(_split_inputs()) + list(_mixed_corpus())
         reports = [classify(p) for p in inputs]
         refuse_series_route(monkeypatch)
         refuse_bareiss(monkeypatch)
-        reached = set()
+        unstalled, stalls = set(), 0
         for p, report in zip(inputs, reports):
             assert classify(p) == report, p
+            if _routh(p.coeffs)[2]:
+                stalls += 1
+                continue
             cert = report.certificates
-            reached.update(key for key in ("quasi_certificate",
-                                           "dual_quasi_certificate",
-                                           "reflected_label") if key in cert)
+            unstalled.update(key for key in ("quasi_certificate",
+                                             "dual_quasi_certificate",
+                                             "reflected_label") if key in cert)
             quasi = cert.get("quasi_certificate")
             if quasi is not None and quasi["even_factor_u"].degree > 0:
-                reached.add("root check on a shared even factor")
-            if _routh(p.coeffs)[2]:
-                reached.add("stalled")
-        assert reached == {"quasi_certificate", "dual_quasi_certificate",
-                           "reflected_label",
-                           "root check on a shared even factor", "stalled"}
+                unstalled.add("root check on a shared even factor")
+        assert unstalled == {"quasi_certificate", "dual_quasi_certificate",
+                             "reflected_label",
+                             "root check on a shared even factor"}
+        assert stalls > 0
 
 
 class TestOnePass:

@@ -1,6 +1,7 @@
 """Structural invariants checked over randomized inputs."""
 
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import assume, example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from genhurwitz.polyalg import (
     Polynomial,
     RationalFunction,
+    _product,
     compose_even,
     even_odd_split,
     format_polynomial,
@@ -21,6 +23,7 @@ from genhurwitz.polyalg import (
 )
 from genhurwitz.minors import (
     _routh,
+    _sign,
     exact_det,
     hankel_minors,
     hurwitz_minors,
@@ -64,6 +67,21 @@ def small_integer_polynomials(draw, max_degree=8):
     rest = draw(st.lists(st.integers(min_value=-2, max_value=2),
                          min_size=1, max_size=max_degree))
     return Polynomial([lead] + rest)
+
+
+multiplier_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.builds(F, st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+              st.integers(min_value=1, max_value=2 ** 70)))
+
+
+@st.composite
+def operands(draw):
+    """Polynomials of degree -inf..5, ints and Fractions of negative and
+    unlike denominators and of up to 80 bits mixed in one."""
+    return Polynomial(draw(st.lists(multiplier_entries, max_size=6)))
 
 
 @st.composite
@@ -190,6 +208,31 @@ class TestPolynomialInvariants:
                - times_z(compose_even(split.p1, -1)))
         assert dual_transform(p) == raw * (-1) ** (n * (n + 1) // 2)
 
+    @given(operands(), operands(), multiplier_entries)
+    @example(Polynomial(), Polynomial([F(1, 3), 2]), 0)      # zero factor
+    @example(Polynomial([F(-2, 3)]), Polynomial([F(5, 7)]), F(-1, 6))
+    @example(Polynomial([10 ** 40 + 1, F(-1, 10 ** 30), 0]),
+             Polynomial([F(3, 2 ** 70), -7, F(1, 6)]), 10 ** 25)
+    def test_product_is_the_schoolbook_fraction_product(self, p, q, s):
+        def schoolbook(a, b):
+            out = [F(0)] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return Polynomial(out).coeffs
+        want = schoolbook(p.coeffs, q.coeffs)
+        scaled = Polynomial([c * s for c in p.coeffs]).coeffs
+        for got, expected in ((p * q, want), (q * p, want),
+                              (_product((p, q, p)),
+                               schoolbook(want, p.coeffs)),
+                              (_product(()), (F(1),)),
+                              (p * s, scaled), (s * p, scaled)):
+            assert got.coeffs == expected
+            for c in got.coeffs:
+                assert type(c) is Fraction
+                assert c.denominator > 0
+                assert gcd(c.numerator, c.denominator) == 1
+
     @given(polynomials(max_degree=4), polynomials(max_degree=3))
     @settings(max_examples=60)
     def test_gcd_divides_both(self, p, q):
@@ -223,9 +266,13 @@ class TestMinorInvariants:
     @given(small_integer_polynomials())
     @example(Polynomial([1, 0, 1, 0, 1]))     # every odd-position entry 0
     @example(Polynomial([1, 1, 1, 1]))        # Delta_2 = 0, Delta_3 = 0
-    @example(Polynomial([2, 0, 0, -1, 3]))
+    @example(Polynomial([1, 2, 1, 2, 1, 2]))  # whole zero row F_2
+    @example(Polynomial([2, 0, 0, -1, 3]))    # stalled array
+    @example(Polynomial([-1, 0, -2, -1, -1]))     # stalled, sign flipped
     def test_reflection_and_dual_sign_tables(self, p):
-        """The derived tables classify uses, against fresh sweeps."""
+        """The derived tables classify uses, against fresh sweeps: the
+        value laws on p's chain, and the same laws on the sign chain that
+        classify applies them to."""
         n = p.degree
         delta = hurwitz_minors(p).delta
         # reflect(p) = p(-z) scales Hurwitz row t by (-1)^(n-1+t)
@@ -239,10 +286,15 @@ class TestMinorInvariants:
         assert hurwitz_minors(-rp).delta == tuple(
             d * (-1) ** k for k, d in enumerate(twisted, start=1))
         # classify reflects a positive-leading p and normalizes the sign
+        signs = [_sign(d) for d in delta]
         if p.coeffs[0] > 0:
             normalized = rp if rp.coeffs[0] > 0 else -rp
             assert hurwitz_minors(normalized).delta == _reflected_delta(delta)
+            assert tuple(map(_sign, hurwitz_minors(normalized).delta)) \
+                == _reflected_delta(signs)
         assert hurwitz_minors(dual_transform(p)).delta == _dual_delta(delta, n)
+        assert tuple(map(_sign, hurwitz_minors(dual_transform(p)).delta)) \
+            == _dual_delta(signs, n)
 
     @given(st.one_of(small_integer_polynomials(), even_factor_products()))
     @example(Polynomial([1, 2, 3, 0, 0]))     # double origin zero
